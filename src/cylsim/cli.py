@@ -6,7 +6,8 @@ thresholds, and the state-space search.  Every run emits a reproducibility
 header (version, seed, discretization, tolerances) and output is
 deterministic for fixed flags, so files are byte-identical across reruns.
 
-Exit codes: 0 ok, 2 infeasible spec, 3 solver failure, 4 bad input.
+Exit codes: 0 ok, 2 infeasible spec, 3 solver failure (including a negative
+branch probability), 4 bad input.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .matter import (
     steer_max,
 )
 from .oracle import exact_distribution
-from .sampler import empirical_tv, run_branches
+from .sampler import NegativeBranchProbability, empirical_tv, run_branches
 from .statespace import (
     bspace_search_rows,
     cylinder_max_input_radius,
@@ -401,7 +402,7 @@ def main(argv=None) -> int:
     except InfeasibleRequest as e:
         sys.stderr.write(f"infeasible: {e}\n")
         return EXIT_INFEASIBLE
-    except (SolverFailure, NoUpperBracket) as e:
+    except (SolverFailure, NoUpperBracket, NegativeBranchProbability) as e:
         sys.stderr.write(f"solver failure: {e}\n")
         return EXIT_SOLVER
     except (FileNotFoundError, json.JSONDecodeError, ValueError) as e:

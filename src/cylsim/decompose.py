@@ -1,17 +1,16 @@
 """Explicit cylinder-separable decompositions of diagonal-gate outputs.
 
-The pipeline: reduce an arbitrary extremal product input to the canonical
-frame (both inputs at azimuth 0, z = +1, phase folded into [0, pi]) using the
-gate's symmetries, solve a linear program for nonnegative weights over
-discretized extremal circles that reconstruct the output's Pauli
-coefficients, then map the solution back through the symmetry frame.
-
-The LP minimises the worst-case coefficient residual, so infeasibility is
-reported quantitatively.  Candidate points are always true extremal points of
-the target cylinders, so the discretized hull under-approximates the exact
-one and feasibility claims are conservative.  An adaptive azimuth refinement
-(repeated halving around the active support) recovers boundary cases that a
-uniform grid alone misses.
+Gate outputs on extremal inputs: reduce to the canonical frame (both inputs
+at azimuth 0, z = +1, phase folded into [0, pi]) using the gate's symmetries,
+split the output in closed form into at most four extremal product terms,
+exact to 1e-12 in the Pauli coefficients, and map them back through the
+symmetry frame.  General state spaces: an LP for nonnegative weights over
+discretized extremal circles, minimising the worst-case coefficient
+residual, so infeasibility is reported quantitatively.  Candidate points are
+always true extremal points of the target cylinders, so the discretized hull
+under-approximates the exact one and feasibility claims are conservative.  An
+adaptive azimuth refinement (repeated halving around the active support)
+recovers boundary cases that a uniform grid alone misses.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bloch import (
+    PAULI,
     BlochVector,
     PauliCoeffMatrix,
     apply_gate_pauli,
@@ -36,20 +36,22 @@ from .growth import GrowthQuery, fold_phase, lemma1_feasible, lemma1_lhs
 
 _ZERO_RADIUS = 1e-14
 _WEIGHT_EPS = 1e-12
+# Closed form: eigenvalue clamp and largest accepted coefficient residual.
+_EXACT_TOL = 1e-12
+# LP column generation: initial columns, columns added per round, and the
+# reduced cost below which a column still counts as improving.
+_CG_START = 256
+_CG_BATCH = 128
+_CG_PRICE_TOL = 1e-10
 
 
 class SolverFailure(RuntimeError):
-    """The LP backend failed (status other than optimal); distinct from a
-    well-posed infeasible decomposition."""
+    """The LP backend failed (status other than optimal) or a closed-form
+    residual missed its guard; distinct from an infeasible decomposition."""
 
 
 class InfeasibleRequest(ValueError):
     """The analytic separability predicate rejects the requested radii."""
-
-
-class ResidualTooLarge(RuntimeError):
-    """The LP residual exceeds the requested tolerance; the discretization N
-    is too small for this target."""
 
 
 class NonExtremalInput(ValueError):
@@ -94,21 +96,13 @@ class DecompositionTerm:
 @dataclass(frozen=True)
 class DecompositionRequest:
     """Decompose V_phi (input_a x input_b) V_phi^dag over
-    Cyl(r_out_a) x Cyl(r_out_b), with N azimuthal samples per extremal circle."""
+    Cyl(r_out_a) x Cyl(r_out_b)."""
 
     input_a: BlochVector
     input_b: BlochVector
     phi: float
     r_out_a: float
     r_out_b: float
-    n: int = 40
-    tolerance: float = 1e-7
-
-    def __post_init__(self):
-        if self.n < 8:
-            raise ValueError("discretization N must be >= 8")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -182,6 +176,66 @@ def canonicalize_inputs(req: DecompositionRequest):
 
 
 # ---------------------------------------------------------------------------
+# Closed form
+
+# The (I, X, Y) coefficients of a z = +1 side map onto I/2, X/2, Z/2, which
+# turns a unit extremal circle into the rebit pure states.
+_REBIT = 0.5 * np.real(np.stack([PAULI[0], PAULI[1], PAULI[3]]))
+# Real Y (x) Y: psi^T YY psi = -2 det(psi as a 2x2 matrix), zero iff the
+# two-rebit vector psi is a product.
+_YY = np.real(np.kron(PAULI[2], PAULI[2]))
+
+
+def _circle_points(rebits, r):
+    """Unit rebits (p, q) as z = +1 circle points (2pq r, (p^2 - q^2) r, 1)."""
+    p, q = rebits[:, 0], rebits[:, 1]
+    return np.column_stack([2.0 * r * p * q, r * (p * p - q * q), np.ones(len(p))])
+
+
+def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
+    """Exact decomposition of a canonical-frame gate output over the z = +1
+    circles of Cyl(r_out_a) x Cyl(r_out_b), radii > 0.  Returns (feasible,
+    terms, residual): feasible says the operator below is PSD to 1e-12, and
+    residual is the largest Pauli-coefficient error of the terms.
+
+    The (I,X,Y) x (I,X,Y) block scaled by 1/r_out per side is a real
+    two-rebit operator with no Y(x)Y part, separable iff PSD, and then a mix
+    of at most four real product pure states (Wootters, PRL 80, 2245 (1998);
+    Caves, Fuchs & Rungta, Found. Phys. Lett. 14, 199 (2001)): Givens-rotate
+    its sqrt(eigenvalue)-scaled eigenvectors to zero Y(x)Y expectation each,
+    then factor each as a (x) b."""
+    m = target.m if isinstance(target, PauliCoeffMatrix) else np.asarray(target)
+    block = m[:3, :3] / np.outer([1.0, r_out_a, r_out_a], [1.0, r_out_b, r_out_b])
+    rho = np.einsum("ij,iac,jbd->abcd", block, _REBIT, _REBIT).reshape(4, 4)
+    evals, evecs = np.linalg.eigh(rho)
+    feasible = bool(evals[0] >= -_EXACT_TOL)
+    keep = evals >= _EXACT_TOL
+    cols = evecs[:, keep] * np.sqrt(evals[keep])
+
+    # each rotation zeroes one diagonal entry of the Y(x)Y Gram matrix and no
+    # other; the trace, tr(rho YY) = 0, zeroes the last one
+    for _ in range(cols.shape[1] - 1):
+        d = np.einsum("ik,ij,jk->k", cols, _YY, cols)
+        hi, lo = int(np.argmax(d)), int(np.argmin(d))
+        if d[hi] <= 0.0 or d[lo] >= 0.0:
+            break
+        g = cols[:, hi] @ _YY @ cols[:, lo]
+        # smaller root of d_hi + 2 g t + d_lo t^2 = 0, t = tan(angle)
+        t = -d[hi] / (g + math.copysign(math.sqrt(g * g - d[hi] * d[lo]), g))
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        cols[:, [hi, lo]] = cols[:, [hi, lo]] @ np.array([[c, -t * c], [t * c, c]])
+
+    u, sv, vt = np.linalg.svd(cols.T.reshape(-1, 2, 2))
+    weights = sv[:, 0] ** 2
+    support = weights > 0.0
+    terms = _terms_from_arrays(weights[support] / weights[support].sum(),
+                               _circle_points(u[support, :, 0], r_out_a),
+                               _circle_points(vt[support, 0, :], r_out_b))
+    residual = float(np.max(np.abs(reconstruct(terms).m - m)))
+    return feasible, terms, residual
+
+
+# ---------------------------------------------------------------------------
 # LP core
 
 def _candidates(circles, azimuths_per_circle):
@@ -203,12 +257,17 @@ def _candidates(circles, azimuths_per_circle):
     return np.array(pts), np.array(owner), np.array(azs)
 
 
-def _solve_lp(pts_a, pts_b, target16, row_mask=None):
+def solve_lp(pts_a, pts_b, target16, row_mask=None):
     """Min-residual LP: nonnegative weights over product candidates whose
     Pauli coefficients match the target within the smallest possible L-inf
     residual.  Returns (residual, weights).  A row mask may drop constraint
     rows that are forced duplicates of others; callers must re-check the
-    full residual on whatever they keep."""
+    full residual on whatever they keep.
+
+    Column generation: from about _CG_START strided columns, each round adds
+    the _CG_BATCH columns of most negative reduced cost until none is below
+    -_CG_PRICE_TOL.  Weights sum to one and duals have L1 norm <= 1, so the
+    objective is within _CG_PRICE_TOL of the LP over all columns."""
     ca = np.column_stack([np.ones(len(pts_a)), pts_a])
     cb = np.column_stack([np.ones(len(pts_b)), pts_b])
     A = np.einsum("ia,jb->abij", ca, cb).reshape(16, -1)
@@ -217,17 +276,29 @@ def _solve_lp(pts_a, pts_b, target16, row_mask=None):
         A = A[row_mask]
         b = target16[row_mask]
     nrows, ncols = A.shape
-    cost = np.zeros(ncols + 1)
-    cost[-1] = 1.0
     ones = np.ones((nrows, 1))
-    a_ub = np.vstack([np.hstack([A, -ones]), np.hstack([-A, -ones])])
     b_ub = np.concatenate([b, -b])
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0, None)] * (ncols + 1), method="highs")
-    if res.status != 0:
-        raise SolverFailure(f"linprog status {res.status}: {res.message}")
-    stats["lp_solves"] += 1
-    return res.fun, res.x[:-1]
+    cols = np.arange(0, ncols, max(1, ncols // _CG_START))
+    while True:
+        sub = A[:, cols]
+        cost = np.zeros(len(cols) + 1)
+        cost[-1] = 1.0
+        a_ub = np.vstack([np.hstack([sub, -ones]), np.hstack([-sub, -ones])])
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
+                      method="highs")
+        if res.status != 0:
+            raise SolverFailure(f"linprog status {res.status}: {res.message}")
+        duals = res.ineqlin.marginals
+        reduced = A.T @ (duals[nrows:] - duals[:nrows])
+        reduced[cols] = np.inf
+        new = np.argsort(reduced)[:_CG_BATCH]
+        new = new[reduced[new] < -_CG_PRICE_TOL]
+        if len(new) == 0:
+            break
+        cols = np.concatenate([cols, new])
+    weights = np.zeros(ncols)
+    weights[cols] = res.x[:-1]
+    return res.fun, weights
 
 
 def _duplicate_row_mask(target16, circles_a, circles_b):
@@ -268,7 +339,7 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
     for round_idx in range(refine_rounds + 1):
         pts_a, own_a, azs_a = _candidates(circles_a, az_a)
         pts_b, own_b, azs_b = _candidates(circles_b, az_b)
-        _lp_residual, w = _solve_lp(pts_a, pts_b, target16, row_mask)
+        _lp_residual, w = solve_lp(pts_a, pts_b, target16, row_mask)
         support = np.nonzero(w > _WEIGHT_EPS)[0]
         w_s = w[support]
         pa_s = pts_a[support // len(pts_b)]
@@ -334,47 +405,6 @@ def hull_membership(target: PauliCoeffMatrix, r_a: float, r_b: float,
     return residual <= tol, _terms_from_arrays(w, pts_a, pts_b), residual
 
 
-# Canonical decompositions are cached: the sampler hits the same few radius
-# signatures for every sample, so each distinct gate costs one LP.
-_CANONICAL_CACHE: dict = {}
-stats = {"fast_path": 0, "lp_solves": 0, "cache_hits": 0}
-
-
-def reset_cache():
-    _CANONICAL_CACHE.clear()
-    stats.update({"fast_path": 0, "lp_solves": 0, "cache_hits": 0})
-
-
-def _canonical_decomposition(r_a, r_b, r_out_a, r_out_b, phi_fold, n, tol):
-    """Cached LP decomposition for canonical inputs (r_a,0,1) x (r_b,0,1).
-    Candidates live on the z = +1 circles only: the Z-marginal constraints
-    force all weight there for these inputs.
-
-    The refinement target is tol/sqrt(2): mapping the terms back through a
-    symmetry frame mixes X and Y coefficients, which can inflate the max
-    coefficient residual by that factor, and the caller's contract is on the
-    transformed reconstruction."""
-    key = (round(r_a, 9), round(r_b, 9), round(r_out_a, 9), round(r_out_b, 9),
-           round(phi_fold, 9), n, tol)
-    hit = _CANONICAL_CACHE.get(key)
-    if hit is not None:
-        stats["cache_hits"] += 1
-        return hit
-    target = apply_gate_pauli(phi_fold, BlochVector(r_a, 0.0, 1.0),
-                              BlochVector(r_b, 0.0, 1.0))
-    tol_canonical = tol / math.sqrt(2.0)
-    residual, w, pts_a, pts_b = decompose_over_circles(
-        target.m, [(1.0, r_out_a)], [(1.0, r_out_b)], n, tol_canonical)
-    if residual > tol_canonical:
-        raise ResidualTooLarge(
-            f"LP residual {residual:.3e} exceeds tolerance {tol:.1e} "
-            f"(frame-adjusted {tol_canonical:.1e}); increase the "
-            f"discretization (N={n})")
-    value = (w, pts_a, pts_b, residual)
-    _CANONICAL_CACHE[key] = value
-    return value
-
-
 def _ratio(r: float, r_out: float) -> float:
     if r <= _ZERO_RADIUS:
         return 0.0
@@ -389,7 +419,8 @@ def decompose_gate_output(req: DecompositionRequest) -> list[DecompositionTerm]:
     Zero-radius inputs take the exact diagonal fast path (the gate acts as an
     outcome-conditioned Z-rotation on the partner); the identity gate returns
     the input product; everything else goes through canonicalization and the
-    cached LP."""
+    closed form.  Feasibility is decided by lemma1_feasible; a closed-form
+    reconstruction off by more than 1e-12 raises SolverFailure."""
     r_a, r_b = radius(req.input_a), radius(req.input_b)
     query = GrowthQuery(_ratio(r_a, req.r_out_a), _ratio(r_b, req.r_out_b), req.phi)
     if not lemma1_feasible(query):
@@ -401,19 +432,18 @@ def decompose_gate_output(req: DecompositionRequest) -> list[DecompositionTerm]:
         return [DecompositionTerm(1.0, req.input_a, req.input_b)]
 
     if r_a <= _ZERO_RADIUS or r_b <= _ZERO_RADIUS:
-        stats["fast_path"] += 1
         return _diagonal_fast_path(req, r_a <= _ZERO_RADIUS)
 
     canonical, frame = canonicalize_inputs(req)
-    weights, pts_a, pts_b, _residual = _canonical_decomposition(
-        radius(canonical.input_a), radius(canonical.input_b),
-        canonical.r_out_a, canonical.r_out_b, canonical.phi,
-        req.n, req.tolerance)
-    terms = []
-    for w, pa, pb in zip(weights, pts_a, pts_b):
-        om_a, om_b = frame.map_pair(BlochVector(*pa), BlochVector(*pb))
-        terms.append(DecompositionTerm(float(w), om_a, om_b))
-    return terms
+    target = apply_gate_pauli(canonical.phi, canonical.input_a,
+                              canonical.input_b)
+    _psd, terms, residual = closed_form_decomposition(
+        target, canonical.r_out_a, canonical.r_out_b)
+    if residual > _EXACT_TOL:
+        raise SolverFailure(f"closed-form residual {residual:.3e} exceeds "
+                            f"{_EXACT_TOL:.0e} for {query}")
+    return [DecompositionTerm(t.weight, *frame.map_pair(t.omega_a, t.omega_b))
+            for t in terms]
 
 
 def _diagonal_fast_path(req: DecompositionRequest, a_is_diagonal: bool):

@@ -132,6 +132,10 @@ class SamplerSettings:
     discretization: int = 40
     tolerance: float = 1e-7
 
+    def __post_init__(self):
+        if self.num_samples < 1:
+            raise ValueError("num_samples must be >= 1")
+
     def to_json(self) -> dict:
         return {"num_samples": self.num_samples, "seed": self.seed,
                 "discretization": self.discretization, "tolerance": self.tolerance}
@@ -201,6 +205,11 @@ class ExperimentSpec:
         for node in nodes:
             if node not in self.inputs:
                 raise ValueError(f"node {node} has no input state")
+        angles = [x for v in self.inputs.values() for x in (v.theta, v.azimuth)]
+        angles += [g.phi for g in self.gates] + [m.spec.omega for m in self.schedule]
+        angles += [x for m in self.schedule if m.adaptive for x in m.adaptive.angles]
+        if not all(map(math.isfinite, angles)):
+            raise ValueError("non-finite theta, azimuth, phi, omega or adaptive angle")
         seen = set()
         for m in self.schedule:
             if m.node not in nodes:
@@ -324,7 +333,6 @@ def radius_ledger(spec: ExperimentSpec, policy: str = "measurement-aware") -> Le
                 verdict, bad_step = "infeasible", k
         return LedgerResult(trace, verdict, bad_step, radii)
 
-    measured: set[int] = set()
     for step, (kind, payload) in enumerate(spec.timeline()):
         if kind == "gate":
             a, b = payload.edge
@@ -344,5 +352,4 @@ def radius_ledger(spec: ExperimentSpec, policy: str = "measurement-aware") -> Le
             if not ok and verdict == "simulable":
                 verdict, bad_step = "infeasible", step
             radii[node] = 0.0
-            measured.add(node)
     return LedgerResult(trace, verdict, bad_step, radii)

@@ -39,9 +39,9 @@ def fold_phase(phi: float) -> float:
 def _lambda_folded(phi: float) -> float:
     if phi == 0.0:
         return 1.0
-    mu = 4.0 * (math.cos(phi) - 1.0)
-    if mu >= 0.0:  # cos rounding at tiny phi
-        return 1.0
+    # 4(cos(phi) - 1) without the cancellation that rounds it to 0 below
+    # phi ~ 2e-8, where lambda - 1 is still ~3e-6
+    mu = -8.0 * math.sin(0.5 * phi) ** 2
     if -mu < 27.0 / 4.0:
         # Cardano closed form, valid while the radicand stays positive.
         # All cube-root arguments are non-negative here (s < 1).
@@ -60,8 +60,10 @@ def _lambda_folded(phi: float) -> float:
 
 def lambda_phi(phi: float) -> float:
     """Growth factor lambda(phi) = sqrt(Q + 1), Q the unique positive root of
-    q^3 + mu*q + mu with mu = 4(cos(phi) - 1)."""
-    return _lambda_folded(round(fold_phase(phi), 12))
+    q^3 + mu*q + mu with mu = 4(cos(phi) - 1).  The phase is rounded to 12
+    decimals, but never to 0: lambda - 1 is still 6e-9 at phi = 1e-12."""
+    folded = fold_phase(phi)
+    return _lambda_folded(round(folded, 12) or folded)
 
 
 def lemma1_lhs(f_a: float, f_b: float, phi: float) -> float:
@@ -171,6 +173,8 @@ class PowerLawSpec:
     nn_phase: float | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.time, self.nn_phase or 0.0))):
+            raise ValueError("alpha, time and nn_phase must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
         if self.dim < 1:

@@ -2,9 +2,9 @@
 
 Each sample draws one product branch of the experiment's cylinder-separable
 decomposition: initial extremal splits, a sampled decomposition term per
-gate, and Born-rule outcomes per measurement.  Because every decomposition
-reconstructs the exact gate output, the sampled outcome distribution matches
-the quantum one up to LP residuals and shot noise.
+gate, and Born-rule outcomes per measurement.  Every decomposition is the
+closed form of `decompose`, exact to 1e-12 in the Pauli coefficients, so the
+sampled outcome distribution matches the quantum one up to shot noise.
 
 Randomness is counter-based: sample k uses a Philox stream keyed by
 (seed, k), so results are reproducible for a fixed seed under any degree of
@@ -13,6 +13,7 @@ parallel or out-of-order evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +23,6 @@ from . import decompose
 from .bloch import BlochVector, measure_prob, post_measurement_state, radius
 from .decompose import DecompositionRequest, canonicalize_inputs
 from .experiment import ExperimentSpec, radius_ledger, resolve_measure_angle
-from .growth import lambda_phi
 
 
 class NegativeBranchProbability(RuntimeError):
@@ -39,56 +39,13 @@ class SampleRun:
     outcomes: list[str]
     log_weights: list[float] = field(default_factory=list)  # diagnostics
     fast_path_hits: int = 0
-    lp_decompositions: int = 0
+    canonical_decompositions: int = 0
     max_radius_slack: float = 0.0
     counts: dict[str, int] = field(default_factory=dict)
 
     def histogram(self) -> dict[str, float]:
         n = len(self.outcomes)
         return {k: v / n for k, v in sorted(self.counts.items())}
-
-
-def _gate_plan(spec: ExperimentSpec):
-    """Precompute, per timeline event, the radii the sampler will see, and
-    warm the decomposition cache.  Mirrors the measurement-aware ledger."""
-    radii = {node: spec.inputs[node].radius() for node in spec.node_ids()}
-    plan = []
-    for kind, payload in spec.timeline():
-        if kind == "gate":
-            a, b = payload.edge
-            r_a, r_b = radii[a], radii[b]
-            if r_a > 0.0 and r_b > 0.0:
-                lam = lambda_phi(payload.phi)
-                out_a, out_b = r_a * lam, r_b * lam
-            else:
-                out_a, out_b = r_a, r_b
-            plan.append(("gate", payload, (r_a, r_b, out_a, out_b)))
-            radii[a], radii[b] = out_a, out_b
-        else:
-            plan.append(("measure", payload, None))
-            radii[payload.node] = 0.0
-    return plan
-
-
-def _warm_cache(plan, n, tol):
-    """Run every LP decomposition once per z-sign case so the sampling loop
-    only ever hits the cache (branch z-signs vary per sample; a swap case
-    exchanges the radius signature)."""
-    for kind, payload, radii in plan:
-        if kind != "gate":
-            continue
-        r_a, r_b, out_a, out_b = radii
-        if r_a <= 0.0 or r_b <= 0.0 or decompose.fold_phase(payload.phi) == 0.0:
-            continue
-        for z_a in (1.0, -1.0):
-            for z_b in (1.0, -1.0):
-                req = DecompositionRequest(
-                    BlochVector(r_a, 0.0, z_a), BlochVector(r_b, 0.0, z_b),
-                    payload.phi, out_a, out_b, n, tol)
-                canonical, _frame = canonicalize_inputs(req)
-                decompose._canonical_decomposition(
-                    radius(canonical.input_a), radius(canonical.input_b),
-                    canonical.r_out_a, canonical.r_out_b, canonical.phi, n, tol)
 
 
 def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> SampleRun:
@@ -103,9 +60,7 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
             f"experiment infeasible at ledger step {ledger.infeasible_step}")
 
     settings = spec.sampler
-    n, tol = settings.discretization, settings.tolerance
-    plan = _gate_plan(spec)
-    _warm_cache(plan, n, tol)
+    plan = _plan_from_ledger(spec, ledger)
 
     # initial extremal splits are shared by all samples
     init = {}
@@ -118,14 +73,42 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
     for k in range(settings.num_samples):
         rng = np.random.Generator(np.random.Philox(key=settings.seed,
                                                    counter=[0, 0, 0, k]))
-        run.outcomes.append(_one_branch(spec, plan, init, rng, n, tol, run,
-                                        check_invariants))
+        run.outcomes.append(_one_branch(plan, init, rng, run, check_invariants))
     for s in run.outcomes:
         run.counts[s] = run.counts.get(s, 0) + 1
     return run
 
 
-def _one_branch(spec, plan, init, rng, n, tol, run, check_invariants):
+def _plan_from_ledger(spec: ExperimentSpec, ledger):
+    """Timeline events; a gate carries its output radii (its ledger row) and,
+    when coherent, canonical weights and terms per input z-sign case, keyed
+    by (z_a > 0, z_b > 0).  Input radii are the previous row's.  A measure
+    row still shows the measured node's old radius, but a later gate on it
+    shows 0 in its own row, so coherence is read from the output radii."""
+    before = [{node: spec.inputs[node].radius() for node in spec.node_ids()}]
+    before += [row.radii for row in ledger.trace[:-1]]
+    plan = []
+    for (kind, payload), row, radii in zip(spec.timeline(), ledger.trace, before):
+        if kind == "measure":
+            plan.append((kind, payload, None))
+            continue
+        a, b = payload.edge
+        out_a, out_b = row.radii[a], row.radii[b]
+        cases = None
+        if out_a > 0.0 and out_b > 0.0 and decompose.fold_phase(payload.phi) != 0.0:
+            cases = {}
+            for z_a, z_b in itertools.product((1.0, -1.0), repeat=2):
+                req = DecompositionRequest(
+                    BlochVector(radii[a], 0.0, z_a), BlochVector(radii[b], 0.0, z_b),
+                    payload.phi, out_a, out_b)
+                canonical, _frame = canonicalize_inputs(req)
+                terms = decompose.decompose_gate_output(canonical)
+                cases[z_a > 0, z_b > 0] = (np.array([t.weight for t in terms]), terms)
+        plan.append((kind, payload, (out_a, out_b, cases)))
+    return plan
+
+
+def _one_branch(plan, init, rng, run, check_invariants):
     vectors: dict[int, BlochVector] = {}
     log_weight = 0.0
     for node, (p_up, x, y) in init.items():
@@ -135,28 +118,24 @@ def _one_branch(spec, plan, init, rng, n, tol, run, check_invariants):
     outcome_by_node: dict[int, int] = {}
     chars = []
 
-    for kind, payload, radii_plan in plan:
+    for kind, payload, gate_plan in plan:
         if kind == "gate":
             a, b = payload.edge
-            r_a, r_b, out_a, out_b = radii_plan
+            out_a, out_b, cases = gate_plan
             req = DecompositionRequest(vectors[a], vectors[b], payload.phi,
-                                       out_a, out_b, n, tol)
-            if r_a <= 0.0 or r_b <= 0.0 or decompose.fold_phase(payload.phi) == 0.0:
+                                       out_a, out_b)
+            if cases is None:
                 terms = decompose.decompose_gate_output(req)
-                run.fast_path_hits += 1
                 weights = np.array([t.weight for t in terms])
-                idx = _pick(rng, weights)
-                vectors[a], vectors[b] = terms[idx].omega_a, terms[idx].omega_b
+                run.fast_path_hits += 1
             else:
-                canonical, frame = canonicalize_inputs(req)
-                weights, pts_a, pts_b, _res = decompose._canonical_decomposition(
-                    radius(canonical.input_a), radius(canonical.input_b),
-                    canonical.r_out_a, canonical.r_out_b, canonical.phi, n, tol)
-                run.lp_decompositions += 1
-                idx = _pick(rng, weights)
-                om_a, om_b = frame.map_pair(BlochVector(*pts_a[idx]),
-                                            BlochVector(*pts_b[idx]))
-                vectors[a], vectors[b] = om_a, om_b
+                _canonical, frame = canonicalize_inputs(req)
+                weights, terms = cases[vectors[a].z > 0, vectors[b].z > 0]
+                run.canonical_decompositions += 1
+            idx = _pick(rng, weights)
+            om_a, om_b = terms[idx].omega_a, terms[idx].omega_b
+            vectors[a], vectors[b] = (om_a, om_b) if cases is None else \
+                frame.map_pair(om_a, om_b)
             log_weight += math.log(max(weights[idx], 1e-300))
             if check_invariants:
                 for node, bound in ((a, out_a), (b, out_b)):
@@ -173,7 +152,8 @@ def _one_branch(spec, plan, init, rng, n, tol, run, check_invariants):
             probs = measure_prob(vectors[node], mspec)
             if probs.negative:
                 raise NegativeBranchProbability(
-                    f"p = ({probs.p_plus}, {probs.p_minus}) at node {node}")
+                    f"negative branch probability p = ({probs.p_plus}, "
+                    f"{probs.p_minus}) at node {node}")
             # below the flag threshold p may leave [0,1] by ~1e-16; the raw
             # comparison already handles that without clamping
             outcome = +1 if rng.random() < probs.p_plus else -1

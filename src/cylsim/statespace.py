@@ -21,6 +21,7 @@ from .decompose import (
     decompose_over_circles,
     hull_membership,
     min_output_radius,
+    solve_lp,
 )
 from .growth import lambda_phi
 
@@ -214,7 +215,6 @@ def r_star_point_set(points_a, points_b, phi: float, tol: float = 1e-3,
     pts_a, pts_b = as_array(points_a), as_array(points_b)
     in_a = pts_a if reps_a is None else as_array(reps_a)
     in_b = pts_b if reps_b is None else as_array(reps_b)
-    from .decompose import _solve_lp  # raw candidates bypass circle handling
 
     targets = [apply_gate_pauli(phi, BlochVector(*pa), BlochVector(*pb)).m
                for pa in in_a for pb in in_b]
@@ -222,7 +222,7 @@ def r_star_point_set(points_a, points_b, phi: float, tol: float = 1e-3,
     def feasible(r):
         for t in targets:
             phased = _phased_target(t, 1.0 / r).reshape(16)
-            residual, _ = _solve_lp(pts_a, pts_b, phased)
+            residual, _ = solve_lp(pts_a, pts_b, phased)
             if residual > lp_tol:
                 return False
         return True

@@ -238,3 +238,77 @@ def test_simulate_file_determinism(tmp_path, capsys):
     assert main(["simulate", "--spec", str(path), "--format", "jsonl",
                  "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _pair_spec(theta=0.35):
+    return {
+        "version": 1,
+        "graph": [[0, 1]],
+        "inputs": {"0": {"theta": theta}, "1": {"theta": theta}},
+        "gates": [{"edge": [0, 1], "phi": math.pi}],
+        "schedule": [
+            {"node": 0, "kind": "XY", "omega": 0.0},
+            {"node": 1, "kind": "XY", "omega": 0.0},
+        ],
+        "sampler": {"num_samples": 200, "seed": 5},
+    }
+
+
+def _powerlaw(**params):
+    def patch(spec):
+        spec.pop("graph")
+        spec["gates"] = {"powerlaw": {"alpha": 3.0, "nn_phase": math.pi, **params}}
+    return patch
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("patch", [
+    lambda s: s["inputs"]["0"].update(theta=math.nan),
+    lambda s: s["inputs"]["0"].update(theta=math.inf),
+    lambda s: s["inputs"]["1"].update(azimuth=math.nan),
+    lambda s: s["inputs"]["1"].update(shrink=math.nan),
+    lambda s: s["gates"][0].update(phi=math.nan),
+    lambda s: s["schedule"][0].update(omega=-math.inf),
+    lambda s: s["schedule"][1].update(
+        adaptive={"nodes": [0], "angles": [0.3, math.nan]}),
+    _powerlaw(alpha=math.nan),
+    _powerlaw(time=math.inf, nn_phase=None),
+    _powerlaw(nn_phase=math.nan),
+    lambda s: s["sampler"].update(num_samples=0),
+], ids=["theta-nan", "theta-inf", "azimuth", "shrink", "phi", "omega",
+        "adaptive-angle", "alpha", "time", "nn-phase", "no-samples"])
+def test_malformed_spec_rejected(capsys, tmp_path, command, patch):
+    spec = _pair_spec()
+    patch(spec)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli([command, "--spec", str(path)], capsys)
+    assert code == 4, err
+    assert out == "" and err.startswith("bad input:")
+
+
+def test_negative_branch_probability_exit_code(capsys, tmp_path, monkeypatch):
+    from cylsim import sampler
+    from cylsim.bloch import MeasureProbs
+
+    monkeypatch.setattr(sampler, "measure_prob",
+                        lambda _v, _m: MeasureProbs(-0.5, 1.5, True))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_pair_spec()))
+    code, out, err = run_cli(["simulate", "--spec", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "negative branch probability" in err
+
+
+def test_feasible_pair_at_coarse_discretization(capsys, tmp_path):
+    # used to die in the sampler's LP with residual 7.33e-8 against a
+    # frame-adjusted 7.07e-8; the discretization no longer affects sampling
+    spec = _pair_spec(theta=0.45)
+    spec["sampler"]["discretization"] = 8
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["simulate", "--spec", str(path)], capsys)
+    assert code == 0, err
+    counts = [int(ln.split(",")[1]) for ln in out.strip().splitlines()[2:]]
+    assert sum(counts) == 200

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from cylsim import decompose
 from cylsim.bloch import BlochVector, CylinderSpace, apply_gate_pauli, radius
@@ -11,18 +12,16 @@ from cylsim.decompose import (
     InfeasibleRequest,
     NonExtremalInput,
     canonicalize_inputs,
+    closed_form_decomposition,
     coupling_operator,
     decompose_gate_output,
     hull_membership,
     min_output_radius,
     reconstruct,
     reduced_determinant,
+    solve_lp,
 )
 from cylsim.growth import LAMBDA_CZ, GrowthQuery, lambda_phi, lemma1_feasible
-
-
-def setup_function(_fn):
-    decompose.reset_cache()
 
 
 def test_reduced_determinant_boundary_zero():
@@ -135,13 +134,37 @@ def test_hull_membership_infeasible_inside_boundary():
     assert residual > 1e-4
 
 
+def test_solve_lp_matches_single_lp():
+    # column generation reaches the optimum of one LP over all 6400 columns
+    n = 80
+    nu = 2 * math.pi * np.arange(n) / n
+    pts = np.column_stack([np.cos(nu), np.sin(nu), np.ones(n)])
+    ext = np.column_stack([np.ones(n), pts])
+    full_a = np.einsum("ia,jb->abij", ext, ext).reshape(16, -1)
+    ones = np.ones((16, 1))
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        f_a, f_b = rng.uniform(0.05, 0.95, 2)
+        phi = rng.uniform(0.1, 2 * math.pi - 0.1)
+        target16 = apply_gate_pauli(phi, BlochVector(f_a, 0, 1),
+                                    BlochVector(f_b, 0, 1)).m.reshape(16)
+        cost = np.zeros(n * n + 1)
+        cost[-1] = 1.0
+        single = linprog(cost, A_ub=np.vstack([np.hstack([full_a, -ones]),
+                                               np.hstack([-full_a, -ones])]),
+                         b_ub=np.concatenate([target16, -target16]),
+                         bounds=(0, None), method="highs").fun
+        residual, weights = solve_lp(pts, pts, target16)
+        assert single - 1e-8 <= residual <= single + 1e-9
+        assert weights.shape == (n * n,) and weights.min() >= 0.0
+        assert np.max(np.abs(full_a @ weights - target16)) <= residual + 1e-9
+
+
 def test_decompose_fast_path_zero_radius():
     v_a = BlochVector(0, 0, 0.4)  # Z-diagonal, radius 0
     v_b = BlochVector(0.25, 0.1, 1.0)
     req = DecompositionRequest(v_a, v_b, 1.7, 0.0, radius(v_b))
-    before = decompose.stats["fast_path"]
     terms = decompose_gate_output(req)
-    assert decompose.stats["fast_path"] == before + 1
     assert len(terms) == 2
     target = apply_gate_pauli(1.7, v_a, v_b)
     assert np.max(np.abs(reconstruct(terms).m - target.m)) < 1e-12
@@ -171,7 +194,7 @@ def test_decompose_lp_path_contract():
                                math.pi, LAMBDA_CZ * r, LAMBDA_CZ * r)
     terms = decompose_gate_output(req)
     target = apply_gate_pauli(math.pi, req.input_a, req.input_b)
-    assert np.max(np.abs(reconstruct(terms).m - target.m)) <= req.tolerance
+    assert np.max(np.abs(reconstruct(terms).m - target.m)) <= 1e-12
     assert sum(t.weight for t in terms) == pytest.approx(1.0, abs=1e-12)
     for t in terms:
         assert radius(t.omega_a) <= req.r_out_a + 1e-9
@@ -187,19 +210,47 @@ def test_decompose_infeasible_raises():
         decompose_gate_output(req)
 
 
-def test_decomposition_cache():
-    r = 0.15
-    req = DecompositionRequest(BlochVector(r, 0, 1), BlochVector(r, 0, 1),
-                               2.0, 1.05 * lambda_phi(2.0) * r,
-                               1.05 * lambda_phi(2.0) * r)
-    decompose_gate_output(req)
-    solves = decompose.stats["lp_solves"]
-    # same request rotated: canonical cache must absorb it
-    v_a = BlochVector(r * math.cos(1.0), r * math.sin(1.0), 1.0)
-    req2 = DecompositionRequest(v_a, req.input_b, 2.0, req.r_out_a, req.r_out_b)
-    decompose_gate_output(req2)
-    assert decompose.stats["lp_solves"] == solves
-    assert decompose.stats["cache_hits"] >= 1
+def test_closed_form_matches_lemma1():
+    """Random canonical points, half exactly on the R = lambda(phi) r
+    boundary: the PSD verdict is lemma 1's, and feasible decompositions are
+    exact, have at most 4 terms and lie on the output circles."""
+    rng = np.random.default_rng(47)
+    for k in range(2400):
+        r_a, r_b = rng.uniform(0.01, 1.0, 2)
+        phi = rng.uniform(0.0, math.pi)
+        if k % 2:
+            r_out_a, r_out_b = r_a / rng.uniform(0.05, 1.2), r_b / rng.uniform(0.05, 1.2)
+        else:
+            r_out_a, r_out_b = lambda_phi(phi) * r_a, lambda_phi(phi) * r_b
+        target = apply_gate_pauli(phi, BlochVector(r_a, 0, 1), BlochVector(r_b, 0, 1))
+        feasible, terms, residual = closed_form_decomposition(target, r_out_a,
+                                                              r_out_b)
+        query = GrowthQuery(r_a / r_out_a, r_b / r_out_b, phi)
+        assert feasible == lemma1_feasible(query), (r_a, r_b, phi, k)
+        if not feasible:
+            continue
+        assert residual <= 1e-12
+        assert 1 <= len(terms) <= 4
+        weights = np.array([t.weight for t in terms])
+        assert np.all(weights >= 0.0) and weights.sum() == pytest.approx(1.0, abs=1e-14)
+        for t in terms:
+            assert radius(t.omega_a) == pytest.approx(r_out_a, abs=1e-12)
+            assert radius(t.omega_b) == pytest.approx(r_out_b, abs=1e-12)
+            assert t.omega_a.z == 1.0 and t.omega_b.z == 1.0
+
+
+@pytest.mark.parametrize("phi", [1e-13, 1e-10, 1e-8, 2 * math.pi - 1e-9])
+def test_tiny_phase_decomposes_at_ledger_radius(phi):
+    # lambda - 1 ~ (2 phi^2)^(1/3) / 2 must not round away, or the ledger
+    # radius R = lambda r sits inside the separable boundary
+    lam = lambda_phi(phi)
+    folded = min(phi, 2 * math.pi - phi)
+    assert lam - 1.0 == pytest.approx((2 * folded ** 2) ** (1 / 3) / 2, rel=1e-3)
+    v_a, v_b = BlochVector(0.3, 0, -1), BlochVector(0.0, 0.3, 1)
+    req = DecompositionRequest(v_a, v_b, phi, lam * 0.3, lam * 0.3)
+    terms = decompose_gate_output(req)
+    target = apply_gate_pauli(phi, v_a, v_b)
+    assert np.max(np.abs(reconstruct(terms).m - target.m)) <= 1e-12
 
 
 def test_lp_agreement_with_analytic_minigrid():
@@ -217,6 +268,8 @@ def test_lp_agreement_with_analytic_minigrid():
                 analytic = lemma1_feasible(GrowthQuery(f_a, f_b, phi))
                 if feasible and not analytic:
                     pytest.fail("LP feasible where analytic says infeasible")
+                if feasible:
+                    assert closed_form_decomposition(target, 1.0, 1.0)[0]
                 if feasible != analytic:
                     assert abs(reduced_determinant(f_a, f_b, phi)) < band
 

@@ -18,10 +18,6 @@ from cylsim.oracle import exact_distribution
 from cylsim.sampler import AlphabetMismatch, empirical_tv, run_branches
 
 
-def setup_function(_fn):
-    decompose.reset_cache()
-
-
 def test_no_gate_bernoulli():
     theta = 0.8
     spec = ExperimentSpec(
@@ -67,7 +63,6 @@ def test_determinism_and_counter_based_streams():
         sampler=SamplerSettings(num_samples=500, seed=42),
     )
     run1 = run_branches(spec)
-    decompose.reset_cache()
     run2 = run_branches(spec)
     assert run1.outcomes == run2.outcomes
     spec.sampler = SamplerSettings(num_samples=500, seed=43)
@@ -87,13 +82,31 @@ def test_fast_path_after_measurement():
                   MeasureStep(1, MeasurementSpec("XY", 0.0, "quasi-destructive"))],
         sampler=SamplerSettings(num_samples=2000, seed=17),
     )
-    before = decompose.stats["fast_path"]
     run = run_branches(spec, check_invariants=True)
-    assert decompose.stats["fast_path"] > before
     assert run.fast_path_hits == 2000  # one per sample
-    assert run.lp_decompositions == 0
+    assert run.canonical_decompositions == 0
     exact = exact_distribution(spec)
     assert empirical_tv(run.outcomes, exact.probs) < 0.05
+
+
+def test_sampler_solves_no_lp(monkeypatch):
+    # criterion-4 chain: every coherent gate decomposes in closed form
+    def no_lp(*_args, **_kwargs):
+        raise AssertionError("the sampler path must not solve an LP")
+
+    monkeypatch.setattr(decompose, "linprog", no_lp)
+    theta = math.radians(6)
+    spec = ExperimentSpec(
+        edges=[(i, i + 1) for i in range(4)],
+        inputs={i: NodeInput(theta) for i in range(5)},
+        gates=[GateStep((i, i + 1), math.pi) for i in range(4)],
+        schedule=[MeasureStep(i, MeasurementSpec("XY", 0.0)) for i in range(5)],
+        sampler=SamplerSettings(num_samples=500, seed=3),
+    )
+    run = run_branches(spec, check_invariants=True)
+    assert len(run.outcomes) == 500
+    assert run.canonical_decompositions == 4 * 500
+    assert run.max_radius_slack <= 1e-9
 
 
 def test_adaptive_rule_sampling():
