@@ -6,13 +6,11 @@ __version__ = "0.1.0"
 
 from .bloch import (
     BlochVector,
-    CylinderSpace,
     DiagonalGate,
     MeasurementSpec,
     PauliCoeffMatrix,
     apply_gate_pauli,
     canonicalize_gate,
-    extremal_split,
     measure_prob,
     phasing,
     post_measurement_state,

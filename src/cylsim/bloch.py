@@ -15,6 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Cylinder radii at or below this are zero: such a particle is Z-diagonal,
+# so a gate on it is a controlled Z-rotation of its partner and grows nothing.
+# The ledger, the decomposer and the sampler all classify gates by it.
+ZERO_RADIUS = 1e-14
 
 # Pauli basis, indexed 0..3 = (I, X, Y, Z).
 PAULI = (
@@ -27,10 +31,6 @@ PAULI = (
 
 class RadiusDomainError(ValueError):
     """Raised for vectors with |z| > 1, which have no valid radius."""
-
-
-class NotContainedError(ValueError):
-    """Raised when a vector is not inside the requested state space."""
 
 
 def norm_angle(a: float) -> float:
@@ -95,45 +95,6 @@ def x_conjugate(v: BlochVector) -> BlochVector:
 def y_reflect(v: BlochVector) -> BlochVector:
     """Complex conjugation in the computational basis: (x, -y, z)."""
     return BlochVector(v.x, -v.y, v.z)
-
-
-@dataclass(frozen=True, slots=True)
-class CylinderSpace:
-    """Cylinder of Bloch vectors: x^2 + y^2 <= r^2, |z| <= 1."""
-
-    r: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("cylinder radius must be >= 0")
-
-    def contains(self, v: BlochVector, tol: float = 1e-12) -> bool:
-        return abs(v.z) <= 1.0 + tol and math.hypot(v.x, v.y) <= self.r + tol
-
-    @property
-    def breakpoints(self) -> tuple[tuple[float, float], ...]:
-        """Extremal circles as (z, radius) pairs, for decomposition machinery."""
-        return ((-1.0, self.r), (1.0, self.r))
-
-
-def extremal_split(v: BlochVector, space: CylinderSpace):
-    """Split v into at most two extremal-z points of `space` with convex weights.
-
-    The split keeps (x, y) fixed and moves z to +-1; the endpoints sit on the
-    circle of v's own radius, which is the working extremal circle for all
-    downstream feasibility checks (those are monotone in the input radius).
-    """
-    if not space.contains(v, tol=1e-9):
-        raise NotContainedError(f"{v} not in Cyl({space.r})")
-    if v.z >= 1.0:
-        return [(1.0, BlochVector(v.x, v.y, 1.0))]
-    if v.z <= -1.0:
-        return [(1.0, BlochVector(v.x, v.y, -1.0))]
-    w_plus = (1.0 + v.z) / 2.0
-    return [
-        (w_plus, BlochVector(v.x, v.y, 1.0)),
-        (1.0 - w_plus, BlochVector(v.x, v.y, -1.0)),
-    ]
 
 
 @dataclass(frozen=True, slots=True)

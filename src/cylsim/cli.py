@@ -3,8 +3,9 @@
 Subcommands cover the whole toolkit: growth curves, phase diagrams,
 long-range criteria, experiment sampling, oracle verification, matter
 thresholds, and the state-space search.  Every run emits a reproducibility
-header (version, seed, discretization, tolerances) and output is
-deterministic for fixed flags, so files are byte-identical across reruns.
+header (version and the flags that shape the output, such as seed, sample
+count, discretization and tolerances) and output is deterministic for fixed
+flags, so files are byte-identical across reruns.
 
 Exit codes: 0 ok, 2 infeasible spec, 3 solver failure (including a negative
 branch probability), 4 bad input.
@@ -18,8 +19,8 @@ import math
 import sys
 
 from . import __version__
-from .decompose import InfeasibleRequest, NoUpperBracket, SolverFailure
-from .experiment import ExperimentSpec, radius_ledger
+from .decompose import EXACT_TOL, InfeasibleRequest, NoUpperBracket, SolverFailure
+from .experiment import ExperimentSpec
 from .growth import (
     GrowthQuery,
     PowerLawSpec,
@@ -151,23 +152,13 @@ def _apply_sampler_flags(spec: ExperimentSpec, args) -> ExperimentSpec:
         s = replace(s, num_samples=args.samples)
     if args.seed is not None:
         s = replace(s, seed=args.seed)
-    if args.discretization is not None:
-        s = replace(s, discretization=args.discretization)
-    if args.tolerance is not None:
-        s = replace(s, tolerance=args.tolerance)
     spec.sampler = s
     return spec
 
 
 def cmd_simulate(args) -> int:
     spec = _apply_sampler_flags(_load_spec(args.spec), args)
-    ledger = radius_ledger(spec)
-    header = _header(seed=spec.sampler.seed, samples=spec.sampler.num_samples,
-                     N=spec.sampler.discretization, tol=spec.sampler.tolerance)
-    if not ledger.simulable:
-        sys.stderr.write(f"# {header}\n"
-                         f"infeasible at ledger step {ledger.infeasible_step}\n")
-        return EXIT_INFEASIBLE
+    header = _header(seed=spec.sampler.seed, samples=spec.sampler.num_samples)
     run = run_branches(spec)
     if args.format == "jsonl":
         lines = [json.dumps({"meta": header})]
@@ -182,25 +173,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _apply_sampler_flags(_load_spec(args.spec), args)
-    ledger = radius_ledger(spec)
-    if not ledger.simulable:
-        sys.stderr.write(f"infeasible at ledger step {ledger.infeasible_step}\n")
-        return EXIT_INFEASIBLE
     run = run_branches(spec)
     exact = exact_distribution(spec)
     tv = empirical_tv(run.outcomes, exact.probs)
-    n_gates = len(spec.gates)
     _emit(args.output, _json_doc(
         {"header": _header(seed=spec.sampler.seed,
-                           samples=spec.sampler.num_samples,
-                           N=spec.sampler.discretization,
-                           tol=spec.sampler.tolerance)},
+                           samples=spec.sampler.num_samples)},
         {
             "tv": tv,
             "samples": spec.sampler.num_samples,
             "outcomes": len(exact.probs),
             "pruned_mass": exact.pruned_mass,
-            "residual_budget": n_gates * spec.sampler.tolerance,
+            "residual_budget": len(spec.gates) * EXACT_TOL,
         }))
     return EXIT_OK
 
@@ -331,8 +315,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--spec", required=True)
     sim.add_argument("--samples", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--discretization", type=int, default=None)
-    sim.add_argument("--tolerance", type=float, default=None)
     sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     add_output(sim)
     sim.set_defaults(fn=cmd_simulate)
@@ -342,8 +324,6 @@ def build_parser() -> _Parser:
     ver.add_argument("--spec", required=True)
     ver.add_argument("--samples", type=int, default=None)
     ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--discretization", type=int, default=None)
-    ver.add_argument("--tolerance", type=float, default=None)
     add_output(ver)
     ver.set_defaults(fn=cmd_verify)
 

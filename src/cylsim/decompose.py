@@ -23,6 +23,7 @@ from scipy.optimize import linprog
 
 from .bloch import (
     PAULI,
+    ZERO_RADIUS,
     BlochVector,
     PauliCoeffMatrix,
     apply_gate_pauli,
@@ -34,10 +35,9 @@ from .bloch import (
 )
 from .growth import GrowthQuery, fold_phase, lemma1_feasible, lemma1_lhs
 
-_ZERO_RADIUS = 1e-14
 _WEIGHT_EPS = 1e-12
 # Closed form: eigenvalue clamp and largest accepted coefficient residual.
-_EXACT_TOL = 1e-12
+EXACT_TOL = 1e-12
 # LP column generation: initial columns, columns added per round, and the
 # reduced cost below which a column still counts as improving.
 _CG_START = 256
@@ -208,8 +208,8 @@ def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
     block = m[:3, :3] / np.outer([1.0, r_out_a, r_out_a], [1.0, r_out_b, r_out_b])
     rho = np.einsum("ij,iac,jbd->abcd", block, _REBIT, _REBIT).reshape(4, 4)
     evals, evecs = np.linalg.eigh(rho)
-    feasible = bool(evals[0] >= -_EXACT_TOL)
-    keep = evals >= _EXACT_TOL
+    feasible = bool(evals[0] >= -EXACT_TOL)
+    keep = evals >= EXACT_TOL
     cols = evecs[:, keep] * np.sqrt(evals[keep])
 
     # each rotation zeroes one diagonal entry of the Y(x)Y Gram matrix and no
@@ -245,7 +245,7 @@ def _candidates(circles, azimuths_per_circle):
     owner = []
     azs = []
     for k, (z, rad) in enumerate(circles):
-        if rad <= _ZERO_RADIUS:
+        if rad <= ZERO_RADIUS:
             pts.append((0.0, 0.0, z))
             owner.append(k)
             azs.append(0.0)
@@ -406,7 +406,7 @@ def hull_membership(target: PauliCoeffMatrix, r_a: float, r_b: float,
 
 
 def _ratio(r: float, r_out: float) -> float:
-    if r <= _ZERO_RADIUS:
+    if r <= ZERO_RADIUS:
         return 0.0
     if r_out <= 0:
         return math.inf
@@ -431,17 +431,17 @@ def decompose_gate_output(req: DecompositionRequest) -> list[DecompositionTerm]:
     if fold_phase(req.phi) == 0.0:
         return [DecompositionTerm(1.0, req.input_a, req.input_b)]
 
-    if r_a <= _ZERO_RADIUS or r_b <= _ZERO_RADIUS:
-        return _diagonal_fast_path(req, r_a <= _ZERO_RADIUS)
+    if r_a <= ZERO_RADIUS or r_b <= ZERO_RADIUS:
+        return _diagonal_fast_path(req, r_a <= ZERO_RADIUS)
 
     canonical, frame = canonicalize_inputs(req)
     target = apply_gate_pauli(canonical.phi, canonical.input_a,
                               canonical.input_b)
     _psd, terms, residual = closed_form_decomposition(
         target, canonical.r_out_a, canonical.r_out_b)
-    if residual > _EXACT_TOL:
+    if residual > EXACT_TOL:
         raise SolverFailure(f"closed-form residual {residual:.3e} exceeds "
-                            f"{_EXACT_TOL:.0e} for {query}")
+                            f"{EXACT_TOL:.0e} for {query}")
     return [DecompositionTerm(t.weight, *frame.map_pair(t.omega_a, t.omega_b))
             for t in terms]
 

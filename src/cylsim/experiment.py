@@ -6,10 +6,11 @@ all measurements; a gate may instead be anchored after a schedule entry
 (`after_measurement`) to express quasi-destructive reuse, where measured
 particles interact again.
 
-The radius ledger is the feasibility bookkeeping: each gate grows its
-endpoints' cylinder radii by lambda(phi) unless an endpoint has already been
-measured (then the diagonal fast path applies and nothing grows), and a node
-is measurable only while its radius is at most 1.
+The radius ledger is the one source of radius bookkeeping: each gate grows
+its endpoints' cylinder radii by lambda(phi) unless an endpoint has zero
+radius (measured, or a Z-diagonal input: the diagonal fast path applies and
+nothing grows), and a node is measurable only while its radius is at most 1.
+The sampler reads every gate's input and output radii from the ledger.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .bloch import BlochVector, MeasurementSpec, norm_angle
+from .bloch import ZERO_RADIUS, BlochVector, MeasurementSpec, norm_angle
 from .growth import PowerLawSpec, lambda_phi
 
 LEDGER_SLACK = 1e-9
@@ -127,6 +128,10 @@ def resolve_measure_angle(step: MeasureStep, outcomes: dict[int, int]) -> float:
 
 @dataclass(frozen=True)
 class SamplerSettings:
+    """Sample count and seed.  `discretization` and `tolerance` belong to
+    schema v1 and round-trip through JSON, but sampling does not read them:
+    every sampler decomposition is exact."""
+
     num_samples: int = 10000
     seed: int = 0
     discretization: int = 40
@@ -291,7 +296,8 @@ class LedgerRow:
     step: int
     kind: str  # "gate" | "measure"
     detail: str
-    radii: dict[int, float]
+    radii: dict[int, float]  # every node's radius after the step
+    inputs: tuple[float, float] | None = None  # a gate's endpoint radii before it
 
 
 @dataclass
@@ -306,45 +312,30 @@ class LedgerResult:
         return self.verdict == "simulable"
 
 
-def radius_ledger(spec: ExperimentSpec, policy: str = "measurement-aware") -> LedgerResult:
-    """Per-node radius accounting for an experiment.
+def radius_ledger(spec: ExperimentSpec) -> LedgerResult:
+    """Per-node radius accounting, walking the timeline in order.
 
-    static: every incident gate grows a node by lambda(phi), regardless of
-    measurement timing.  measurement-aware: the timeline is walked in order;
-    gates touching an already-measured (radius-0) node grow nothing, and a
+    A gate grows both endpoints by lambda(phi) when both radii exceed
+    ZERO_RADIUS; otherwise it is a controlled Z-rotation and grows nothing.
+    Each gate row records its endpoints' radii before the gate (`inputs`) and
+    every radius after it (`radii`), which is all the sampler needs.  A
     measured node's radius is checked (<= 1) at its measurement time, after
     which it drops to 0.
     """
-    if policy not in ("static", "measurement-aware"):
-        raise ValueError(f"unknown ledger policy {policy!r}")
     radii = {node: spec.inputs[node].radius() for node in spec.node_ids()}
     trace: list[LedgerRow] = []
     verdict, bad_step = "simulable", None
-
-    if policy == "static":
-        for g in spec.gates:
-            lam = lambda_phi(g.phi)
-            for node in g.edge:
-                radii[node] *= lam
-        for k, mstep in enumerate(spec.schedule):
-            ok = radii[mstep.node] <= 1.0 + LEDGER_SLACK
-            trace.append(LedgerRow(k, "measure", f"node {mstep.node}", dict(radii)))
-            if not ok and verdict == "simulable":
-                verdict, bad_step = "infeasible", k
-        return LedgerResult(trace, verdict, bad_step, radii)
-
     for step, (kind, payload) in enumerate(spec.timeline()):
         if kind == "gate":
             a, b = payload.edge
-            # zero-radius endpoints (measured, or Z-diagonal inputs) take the
-            # diagonal fast path: no growth on either side
-            if radii[a] > 0.0 and radii[b] > 0.0:
+            inputs = (radii[a], radii[b])
+            if min(inputs) > ZERO_RADIUS:
                 lam = lambda_phi(payload.phi)
                 radii[a] *= lam
                 radii[b] *= lam
             trace.append(LedgerRow(step, "gate",
                                    f"{payload.edge} phi={payload.phi:.6g}",
-                                   dict(radii)))
+                                   dict(radii), inputs))
         else:
             node = payload.node
             ok = radii[node] <= 1.0 + LEDGER_SLACK

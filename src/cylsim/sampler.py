@@ -6,6 +6,13 @@ gate, and Born-rule outcomes per measurement.  Every decomposition is the
 closed form of `decompose`, exact to 1e-12 in the Pauli coefficients, so the
 sampled outcome distribution matches the quantum one up to shot noise.
 
+The radius ledger supplies each gate's input and output radii.  A branch
+vector entering a gate is fixed by its ledger radius, its z (-1, 0 or +1)
+and its azimuth, and diagonal gates commute with local Z-rotations, so each
+gate step tabulates at most nine decompositions, one per input z pair at
+azimuth 0, on first use; a sample picks a term and Z-rotates each side by
+its own input vector's azimuth.
+
 Randomness is counter-based: sample k uses a Philox stream keyed by
 (seed, k), so results are reproducible for a fixed seed under any degree of
 parallel or out-of-order evaluation.
@@ -13,16 +20,22 @@ parallel or out-of-order evaluation.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import decompose
-from .bloch import BlochVector, measure_prob, post_measurement_state, radius
-from .decompose import DecompositionRequest, canonicalize_inputs
+from .bloch import (
+    ZERO_RADIUS,
+    BlochVector,
+    measure_prob,
+    post_measurement_state,
+    radius,
+    z_rotate,
+)
+from .decompose import DecompositionRequest
 from .experiment import ExperimentSpec, radius_ledger, resolve_measure_angle
+from .growth import fold_phase
 
 
 class NegativeBranchProbability(RuntimeError):
@@ -37,10 +50,9 @@ class AlphabetMismatch(ValueError):
 @dataclass
 class SampleRun:
     outcomes: list[str]
-    log_weights: list[float] = field(default_factory=list)  # diagnostics
-    fast_path_hits: int = 0
-    canonical_decompositions: int = 0
-    max_radius_slack: float = 0.0
+    fast_path_hits: int = 0  # identity gates and gates on a zero radius
+    canonical_decompositions: int = 0  # coherent gates
+    max_radius_slack: float = 0.0  # largest |branch radius - ledger radius|
     counts: dict[str, int] = field(default_factory=dict)
 
     def histogram(self) -> dict[str, float]:
@@ -51,16 +63,25 @@ class SampleRun:
 def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> SampleRun:
     """Sample the experiment's outcome strings (schedule order, '+'/'-').
 
-    Requires a simulable measurement-aware ledger.  With check_invariants,
-    every branch vector is checked against its ledger radius at every step.
+    Requires a simulable ledger; raises InfeasibleRequest naming the ledger
+    step otherwise.  With check_invariants, every branch vector leaving a
+    gate must have its ledger radius to 1e-9.
     """
-    ledger = radius_ledger(spec, policy="measurement-aware")
+    ledger = radius_ledger(spec)
     if not ledger.simulable:
         raise decompose.InfeasibleRequest(
             f"experiment infeasible at ledger step {ledger.infeasible_step}")
 
     settings = spec.sampler
-    plan = _plan_from_ledger(spec, ledger)
+
+    # each timeline step with its ledger row; a gate step also carries its
+    # class (coherent or fast path) and its table of (weights, terms) by
+    # input z pair, filled on first use
+    plan = []
+    for (kind, payload), row in zip(spec.timeline(), ledger.trace):
+        coherent = kind == "gate" and min(row.inputs) > ZERO_RADIUS and \
+            fold_phase(payload.phi) != 0.0
+        plan.append((kind, payload, row, coherent, {}))
 
     # initial extremal splits are shared by all samples
     init = {}
@@ -79,71 +100,44 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
     return run
 
 
-def _plan_from_ledger(spec: ExperimentSpec, ledger):
-    """Timeline events; a gate carries its output radii (its ledger row) and,
-    when coherent, canonical weights and terms per input z-sign case, keyed
-    by (z_a > 0, z_b > 0).  Input radii are the previous row's.  A measure
-    row still shows the measured node's old radius, but a later gate on it
-    shows 0 in its own row, so coherence is read from the output radii."""
-    before = [{node: spec.inputs[node].radius() for node in spec.node_ids()}]
-    before += [row.radii for row in ledger.trace[:-1]]
-    plan = []
-    for (kind, payload), row, radii in zip(spec.timeline(), ledger.trace, before):
-        if kind == "measure":
-            plan.append((kind, payload, None))
-            continue
-        a, b = payload.edge
-        out_a, out_b = row.radii[a], row.radii[b]
-        cases = None
-        if out_a > 0.0 and out_b > 0.0 and decompose.fold_phase(payload.phi) != 0.0:
-            cases = {}
-            for z_a, z_b in itertools.product((1.0, -1.0), repeat=2):
-                req = DecompositionRequest(
-                    BlochVector(radii[a], 0.0, z_a), BlochVector(radii[b], 0.0, z_b),
-                    payload.phi, out_a, out_b)
-                canonical, _frame = canonicalize_inputs(req)
-                terms = decompose.decompose_gate_output(canonical)
-                cases[z_a > 0, z_b > 0] = (np.array([t.weight for t in terms]), terms)
-        plan.append((kind, payload, (out_a, out_b, cases)))
-    return plan
-
-
 def _one_branch(plan, init, rng, run, check_invariants):
     vectors: dict[int, BlochVector] = {}
-    log_weight = 0.0
     for node, (p_up, x, y) in init.items():
         up = rng.random() < p_up
         vectors[node] = BlochVector(x, y, 1.0 if up else -1.0)
-        log_weight += math.log(p_up if up else 1.0 - p_up)
     outcome_by_node: dict[int, int] = {}
     chars = []
 
-    for kind, payload, gate_plan in plan:
+    for kind, payload, row, coherent, table in plan:
         if kind == "gate":
             a, b = payload.edge
-            out_a, out_b, cases = gate_plan
-            req = DecompositionRequest(vectors[a], vectors[b], payload.phi,
-                                       out_a, out_b)
-            if cases is None:
-                terms = decompose.decompose_gate_output(req)
-                weights = np.array([t.weight for t in terms])
-                run.fast_path_hits += 1
-            else:
-                _canonical, frame = canonicalize_inputs(req)
-                weights, terms = cases[vectors[a].z > 0, vectors[b].z > 0]
+            v_a, v_b = vectors[a], vectors[b]
+            out_a, out_b = row.radii[a], row.radii[b]
+            key = v_a.z, v_b.z
+            entry = table.get(key)
+            if entry is None:
+                r_a, r_b = row.inputs
+                terms = decompose.decompose_gate_output(DecompositionRequest(
+                    BlochVector(r_a, 0.0, v_a.z), BlochVector(r_b, 0.0, v_b.z),
+                    payload.phi, out_a, out_b))
+                entry = table[key] = (
+                    np.array([t.weight for t in terms]), terms)
+            weights, terms = entry
+            term = terms[_pick(rng, weights)]
+            vectors[a] = z_rotate(term.omega_a, v_a.azimuth())
+            vectors[b] = z_rotate(term.omega_b, v_b.azimuth())
+            if coherent:
                 run.canonical_decompositions += 1
-            idx = _pick(rng, weights)
-            om_a, om_b = terms[idx].omega_a, terms[idx].omega_b
-            vectors[a], vectors[b] = (om_a, om_b) if cases is None else \
-                frame.map_pair(om_a, om_b)
-            log_weight += math.log(max(weights[idx], 1e-300))
+            else:
+                run.fast_path_hits += 1
             if check_invariants:
                 for node, bound in ((a, out_a), (b, out_b)):
-                    slack = radius(vectors[node]) - bound
+                    slack = abs(radius(vectors[node]) - bound)
                     run.max_radius_slack = max(run.max_radius_slack, slack)
                     if slack > 1e-9:
                         raise AssertionError(
-                            f"branch vector exceeds ledger radius at node {node}")
+                            f"branch radius at node {node} departs from its "
+                            "ledger radius")
         else:
             node = payload.node
             omega = resolve_measure_angle(payload, outcome_by_node)
@@ -160,7 +154,6 @@ def _one_branch(plan, init, rng, run, check_invariants):
             outcome_by_node[node] = outcome
             chars.append("+" if outcome > 0 else "-")
             vectors[node] = post_measurement_state(mspec, outcome)
-    run.log_weights.append(log_weight)
     return "".join(chars)
 
 

@@ -5,15 +5,12 @@ import pytest
 
 from cylsim.bloch import (
     BlochVector,
-    CylinderSpace,
     DiagonalGate,
     MeasurementSpec,
-    NotContainedError,
     PauliCoeffMatrix,
     RadiusDomainError,
     apply_gate_pauli,
     canonicalize_gate,
-    extremal_split,
     measure_prob,
     phasing,
     post_measurement_state,
@@ -83,30 +80,6 @@ def test_gate_reconstruction_invariant():
         # match up to a global phase
         ratio = rebuilt / original
         assert np.max(np.abs(ratio - ratio[0])) < 1e-12
-
-
-def test_extremal_split_examples():
-    space = CylinderSpace(0.5)
-    theta = 1.1
-    v = BlochVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3), math.cos(theta))
-    terms = extremal_split(v, space)
-    assert len(terms) == 2
-    weights = [w for w, _ in terms]
-    assert weights[0] == pytest.approx((1 + math.cos(theta)) / 2)
-    assert sum(weights) == pytest.approx(1.0, abs=1e-15)
-    recon = sum(w * t.as_array() for w, t in terms)
-    assert np.max(np.abs(recon - v.as_array())) < 1e-12
-
-    single = extremal_split(BlochVector(0.5, 0, 1.0), space)
-    assert len(single) == 1 and single[0][0] == 1.0
-
-    small = BlochVector(0.05, 0, 0)
-    terms = extremal_split(small, CylinderSpace(0.1))
-    recon = sum(w * t.as_array() for w, t in terms)
-    assert np.max(np.abs(recon - small.as_array())) < 1e-12
-
-    with pytest.raises(NotContainedError):
-        extremal_split(BlochVector(0.2, 0, 0), CylinderSpace(0.1))
 
 
 def test_measure_prob_examples():
@@ -223,15 +196,6 @@ def test_serialization():
     assert np.max(np.abs(m2.m - m.m)) < 1e-15
     spec = MeasurementSpec("XY", 1.25, "quasi-destructive")
     assert MeasurementSpec.from_json(spec.to_json()) == spec
-
-
-def test_cylinder_space_extrema():
-    space = CylinderSpace(0.4)
-    assert space.contains(BlochVector(0.4, 0, 1))
-    assert not space.contains(BlochVector(0.5, 0, 0))
-    assert space.breakpoints == ((-1.0, 0.4), (1.0, 0.4))
-    with pytest.raises(ValueError):
-        CylinderSpace(-0.1)
 
 
 def test_diagonal_gate_entry_phases():

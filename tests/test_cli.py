@@ -98,6 +98,7 @@ def test_simulate_and_verify(capsys, tmp_path):
     report = json.loads(out3)
     assert report["tv"] < 0.05
     assert report["samples"] == 4000
+    assert report["residual_budget"] == 1e-12  # one gate, exact to 1e-12
 
 
 def test_simulate_infeasible_exit_code(capsys, tmp_path):
@@ -116,7 +117,7 @@ def test_simulate_infeasible_exit_code(capsys, tmp_path):
     path.write_text(json.dumps(spec))
     code, _, err = run_cli(["simulate", "--spec", str(path)], capsys)
     assert code == 2
-    assert "infeasible" in err
+    assert err == "infeasible: experiment infeasible at ledger step 1\n"
 
 
 def test_bad_input_exit_codes(capsys, tmp_path):
@@ -128,6 +129,10 @@ def test_bad_input_exit_codes(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, _ = run_cli(["simulate", "--spec", str(bad)], capsys)
     assert code == 4
+    # the sampler has no discretization or tolerance to set
+    for flag, value in (("--tolerance", "1e-7"), ("--discretization", "40")):
+        code, _, _ = run_cli(["simulate", "--spec", str(bad), flag, value], capsys)
+        assert code == 4
 
 
 def test_thresholds(capsys):

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from cylsim import decompose
-from cylsim.bloch import BlochVector, CylinderSpace, apply_gate_pauli, radius
+from cylsim.bloch import BlochVector, apply_gate_pauli, radius, z_rotate
 from cylsim.decompose import (
     DecompositionRequest,
     InfeasibleRequest,
@@ -22,6 +22,7 @@ from cylsim.decompose import (
     solve_lp,
 )
 from cylsim.growth import LAMBDA_CZ, GrowthQuery, lambda_phi, lemma1_feasible
+from cylsim.statespace import cylinder
 
 
 def test_reduced_determinant_boundary_zero():
@@ -202,6 +203,45 @@ def test_decompose_lp_path_contract():
         assert abs(t.omega_a.z) == pytest.approx(1.0)
 
 
+def test_decompose_z_covariance():
+    """Diagonal gates commute with local Z-rotations: the azimuth-0 terms,
+    rotated per side, decompose the rotated inputs' gate output exactly, with
+    the weights decompose_gate_output gives for the rotated inputs, in all z
+    cases and for phases beyond pi and below 0 (the sampler tabulates at
+    azimuth 0).  The terms themselves must match when the radius ratios
+    differ; at f_a = f_b a Givens step can settle on the mirror-image
+    decomposition by the sign of a rounding-level coupling."""
+    rng = np.random.default_rng(53)
+    for k in range(300):
+        z_a, z_b = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))[k % 4]
+        phi = rng.uniform(math.pi, 2 * math.pi) if k % 8 < 4 else \
+            -rng.uniform(0.0, 2 * math.pi)
+        r_a, r_b = rng.uniform(0.02, 0.45, 2)
+        az_a, az_b = rng.uniform(-math.pi, 3 * math.pi, 2)
+        lam = lambda_phi(phi)
+        # ledger radii (f_a = f_b on the boundary), inside it, and asymmetric
+        grow_a, grow_b = ((lam, lam), (1.2 * lam, 1.2 * lam),
+                          tuple(lam * rng.uniform(1.0, 1.3, 2)))[k % 3]
+        v_a, v_b = z_rotate(BlochVector(r_a, 0, z_a), az_a), \
+            z_rotate(BlochVector(r_b, 0, z_b), az_b)
+        base = decompose_gate_output(DecompositionRequest(
+            BlochVector(r_a, 0, z_a), BlochVector(r_b, 0, z_b), phi,
+            grow_a * r_a, grow_b * r_b))
+        rotated = decompose_gate_output(DecompositionRequest(
+            v_a, v_b, phi, grow_a * r_a, grow_b * r_b))
+        moved = [decompose.DecompositionTerm(t.weight, z_rotate(t.omega_a, az_a),
+                                             z_rotate(t.omega_b, az_b))
+                 for t in base]
+        target = apply_gate_pauli(phi, v_a, v_b)
+        assert np.max(np.abs(reconstruct(moved).m - target.m)) <= 1e-12, k
+        assert len(rotated) == len(base)
+        for t, t0 in zip(rotated, moved):
+            assert t.weight == pytest.approx(t0.weight, abs=1e-12)
+            if k % 3 == 2:
+                for om, om0 in ((t.omega_a, t0.omega_a), (t.omega_b, t0.omega_b)):
+                    assert np.max(np.abs(om.as_array() - om0.as_array())) <= 1e-12, k
+
+
 def test_decompose_infeasible_raises():
     r = 0.2
     req = DecompositionRequest(BlochVector(r, 0, 1), BlochVector(r, 0, 1),
@@ -275,7 +315,7 @@ def test_lp_agreement_with_analytic_minigrid():
 
 
 def test_min_output_radius_cylinders():
-    space = CylinderSpace(0.1)
+    space = cylinder(0.1)
     r_cz = min_output_radius(space, space, math.pi, tol=5e-4)
     assert r_cz == pytest.approx(LAMBDA_CZ * 0.1, abs=2e-3)
     r_id = min_output_radius(space, space, 0.0, tol=5e-4)

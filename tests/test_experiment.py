@@ -31,17 +31,18 @@ def chain_spec(n, theta, phi=math.pi, measure_kind="XY"):
 def test_chain_interior_radius():
     theta = math.radians(10)
     spec = chain_spec(5, theta)
-    res = radius_ledger(spec, policy="static")
+    res = radius_ledger(spec)
     assert res.simulable
-    # interior node grows by lambda_CZ twice
-    assert res.final_radii[2] == pytest.approx(math.sin(theta) * LAMBDA_CZ ** 2,
-                                               abs=1e-12)
+    # interior node grows by lambda_CZ twice before it is measured
+    measured = [row for row in res.trace if row.kind == "measure"][2]
+    assert measured.radii[2] == pytest.approx(math.sin(theta) * LAMBDA_CZ ** 2,
+                                              abs=1e-12)
     # threshold angle for a chain interior is asin(lambda^-2) ~ 13.65 deg
     threshold = math.degrees(math.asin(LAMBDA_CZ ** -2))
     assert threshold == pytest.approx(13.65, abs=5e-3)
     bad = chain_spec(5, math.radians(14))
-    assert not radius_ledger(bad, policy="static").simulable
-    assert radius_ledger(chain_spec(5, math.radians(13.6)), "static").simulable
+    assert not radius_ledger(bad).simulable
+    assert radius_ledger(chain_spec(5, math.radians(13.6))).simulable
 
 
 def test_star_graph_exact_unit_radius():
@@ -65,14 +66,15 @@ def test_identity_gates_keep_radii():
     assert res.simulable
     for node, r in res.final_radii.items():
         assert r == 0.0  # all measured at the end
-    static = radius_ledger(spec, policy="static")
-    for node in range(4):
-        assert static.final_radii[node] == pytest.approx(math.sin(0.7))
+    measured = [row for row in res.trace if row.kind == "measure"]
+    for node, row in enumerate(measured):
+        assert row.radii[node] == pytest.approx(math.sin(0.7))
 
 
 def test_measurement_aware_not_larger_than_static():
     # a second interaction on an already-measured node takes the diagonal
-    # fast path: the partner's radius does not grow under the aware policy
+    # fast path: the partner grows by lambda once, not by lambda^2 as a count
+    # of its incident gates would charge
     theta = math.radians(12)
     spec = ExperimentSpec(
         edges=[(0, 1)],
@@ -83,34 +85,26 @@ def test_measurement_aware_not_larger_than_static():
                   MeasureStep(1, MeasurementSpec("XY", 0.0, "quasi-destructive"))],
         sampler=SamplerSettings(num_samples=16, seed=0),
     )
-    aware = radius_ledger(spec, policy="measurement-aware")
-    static = radius_ledger(spec, policy="static")
+    aware = radius_ledger(spec)
     assert aware.simulable
-    for row_a, row_s in zip(
-            [r for r in aware.trace if r.kind == "measure"],
-            [r for r in static.trace if r.kind == "measure"]):
-        for node in row_a.radii:
-            assert row_a.radii[node] <= row_s.radii[node] + 1e-12
-
     aware_rows = [r for r in aware.trace if r.kind == "measure"]
     assert aware_rows[1].radii[1] == pytest.approx(math.sin(theta) * LAMBDA_CZ)
-    # the static policy charges node 1 for both interactions
-    static_rows = [r for r in static.trace if r.kind == "measure"]
-    assert static_rows[1].radii[1] == pytest.approx(
-        math.sin(theta) * LAMBDA_CZ ** 2)
 
 
 def test_zero_radius_inputs_never_grow():
-    spec = ExperimentSpec(
-        edges=[(0, 1)],
-        inputs={0: NodeInput(0.0), 1: NodeInput(0.5)},
-        gates=[GateStep((0, 1), math.pi)],
-        schedule=[MeasureStep(1, MeasurementSpec("XY", 0.0))],
-        sampler=SamplerSettings(num_samples=16, seed=0),
-    )
-    res = radius_ledger(spec)
-    assert res.simulable
-    assert res.trace[0].radii[1] == pytest.approx(math.sin(0.5))
+    # sin(pi) = 1.2e-16 and sin(1e-15) are zero radii (<= ZERO_RADIUS) too
+    for theta0 in (0.0, math.pi, 1e-15):
+        spec = ExperimentSpec(
+            edges=[(0, 1)],
+            inputs={0: NodeInput(theta0), 1: NodeInput(0.5)},
+            gates=[GateStep((0, 1), math.pi)],
+            schedule=[MeasureStep(1, MeasurementSpec("XY", 0.0))],
+            sampler=SamplerSettings(num_samples=16, seed=0),
+        )
+        res = radius_ledger(spec)
+        assert res.simulable
+        assert res.trace[0].inputs == (abs(math.sin(theta0)), math.sin(0.5))
+        assert res.trace[0].radii[1] == pytest.approx(math.sin(0.5))
 
 
 def test_validation_errors():

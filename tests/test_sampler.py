@@ -47,9 +47,6 @@ def test_two_qubit_tv_and_invariants():
     assert run.max_radius_slack <= 1e-9
     exact = exact_distribution(spec)
     assert empirical_tv(run.outcomes, exact.probs) < 0.03
-    # diagnostic log-weights: one per sample, all from genuine distributions
-    assert len(run.log_weights) == len(run.outcomes)
-    assert all(lw <= 1e-12 for lw in run.log_weights)
 
 
 def test_determinism_and_counter_based_streams():
@@ -87,6 +84,49 @@ def test_fast_path_after_measurement():
     assert run.canonical_decompositions == 0
     exact = exact_distribution(spec)
     assert empirical_tv(run.outcomes, exact.probs) < 0.05
+
+
+def test_decompositions_tabulated_once_per_gate_and_z_pair(monkeypatch):
+    # a coherent gate and a reuse gate on the measured node: decompositions
+    # are made per gate step and input z pair, never per sample
+    calls = []
+    real = decompose.decompose_gate_output
+    monkeypatch.setattr(decompose, "decompose_gate_output",
+                        lambda req: calls.append(req) or real(req))
+    theta = math.radians(12)
+    counts = {}
+    for samples in (200, 2000):
+        spec = ExperimentSpec(
+            edges=[(0, 1)],
+            inputs={0: NodeInput(theta), 1: NodeInput(theta)},
+            gates=[GateStep((0, 1), math.pi),
+                   GateStep((0, 1), math.pi, after_measurement=0)],
+            schedule=[MeasureStep(0, MeasurementSpec("XY", 0.0, "quasi-destructive")),
+                      MeasureStep(1, MeasurementSpec("XY", 0.0, "quasi-destructive"))],
+            sampler=SamplerSettings(num_samples=samples, seed=17),
+        )
+        calls.clear()
+        run = run_branches(spec, check_invariants=True)
+        counts[samples] = len(calls)
+        assert run.canonical_decompositions == run.fast_path_hits == samples
+    assert counts[200] == counts[2000] <= 9 * 2
+
+
+@pytest.mark.parametrize("theta0", [math.pi, 1e-15])
+def test_zero_radius_input_matches_oracle(theta0):
+    # sin(pi) = 1.2e-16 and sin(1e-15) are zero radii for the ledger as for
+    # the decomposer, so node 1 does not grow at the first gate
+    spec = ExperimentSpec(
+        edges=[(0, 1), (1, 2)],
+        inputs={0: NodeInput(theta0), 1: NodeInput(0.2), 2: NodeInput(0.2)},
+        gates=[GateStep((0, 1), math.pi), GateStep((1, 2), math.pi)],
+        schedule=[MeasureStep(i, MeasurementSpec("XY", 0.0)) for i in range(3)],
+        sampler=SamplerSettings(num_samples=100000, seed=13),
+    )
+    run = run_branches(spec, check_invariants=True)
+    assert run.max_radius_slack <= 1e-9
+    exact = exact_distribution(spec)
+    assert empirical_tv(run.outcomes, exact.probs) < 0.02
 
 
 def test_sampler_solves_no_lp(monkeypatch):
