@@ -87,16 +87,6 @@ def z_rotate(v: BlochVector, angle: float) -> BlochVector:
     return BlochVector(c * v.x - s * v.y, s * v.x + c * v.y, v.z)
 
 
-def x_conjugate(v: BlochVector) -> BlochVector:
-    """Bloch-vector action of conjugation by Pauli X: (x, -y, -z)."""
-    return BlochVector(v.x, -v.y, -v.z)
-
-
-def y_reflect(v: BlochVector) -> BlochVector:
-    """Complex conjugation in the computational basis: (x, -y, z)."""
-    return BlochVector(v.x, -v.y, v.z)
-
-
 @dataclass(frozen=True, slots=True)
 class MeasurementSpec:
     """A cylindrical measurement: Z eigenbasis, or an eigenbasis of

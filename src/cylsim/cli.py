@@ -140,8 +140,14 @@ def longrange_result_dict(spec: PowerLawSpec) -> dict:
 
 
 def _load_spec(path: str) -> ExperimentSpec:
+    """Parse a spec file; a JSON document of the wrong shape (a missing key,
+    a short list, a null or mistyped value) is bad input like a bad value."""
     with open(path) as fh:
-        return ExperimentSpec.loads(fh.read())
+        text = fh.read()
+    try:
+        return ExperimentSpec.loads(text)
+    except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as e:
+        raise ValueError(f"malformed spec: {type(e).__name__}: {e}") from e
 
 
 def _apply_sampler_flags(spec: ExperimentSpec, args) -> ExperimentSpec:
@@ -385,7 +391,7 @@ def main(argv=None) -> int:
     except (SolverFailure, NoUpperBracket, NegativeBranchProbability) as e:
         sys.stderr.write(f"solver failure: {e}\n")
         return EXIT_SOLVER
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError) as e:
         sys.stderr.write(f"bad input: {e}\n")
         return EXIT_BAD_INPUT
 

@@ -1,10 +1,10 @@
 """Explicit cylinder-separable decompositions of diagonal-gate outputs.
 
-Gate outputs on extremal inputs: reduce to the canonical frame (both inputs
-at azimuth 0, z = +1, phase folded into [0, pi]) using the gate's symmetries,
-split the output in closed form into at most four extremal product terms,
-exact to 1e-12 in the Pauli coefficients, and map them back through the
-symmetry frame.  General state spaces: an LP for nonnegative weights over
+Gate outputs on extremal inputs: split the output at azimuth 0 in closed form
+into at most four extremal product terms on each input's own z circle, at
+the given phase, exact to 1e-12 in the Pauli coefficients, and Z-rotate each
+side's terms by its input's azimuth (diagonal gates commute with local
+Z-rotations).  General state spaces: an LP for nonnegative weights over
 discretized extremal circles, minimising the worst-case coefficient
 residual, so infeasibility is reported quantitatively.  Candidate points are
 always true extremal points of the target cylinders, so the discretized hull
@@ -16,7 +16,7 @@ recovers boundary cases that a uniform grid alone misses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -27,10 +27,7 @@ from .bloch import (
     BlochVector,
     PauliCoeffMatrix,
     apply_gate_pauli,
-    norm_angle,
     radius,
-    x_conjugate,
-    y_reflect,
     z_rotate,
 )
 from .growth import GrowthQuery, fold_phase, lemma1_feasible, lemma1_lhs
@@ -55,7 +52,7 @@ class InfeasibleRequest(ValueError):
 
 
 class NonExtremalInput(ValueError):
-    """Canonicalization requires extremal inputs (z = +-1)."""
+    """The closed form needs extremal inputs (z = +-1) on coherent gates."""
 
 
 class NoUpperBracket(RuntimeError):
@@ -95,8 +92,8 @@ class DecompositionTerm:
 
 @dataclass(frozen=True)
 class DecompositionRequest:
-    """Decompose V_phi (input_a x input_b) V_phi^dag over
-    Cyl(r_out_a) x Cyl(r_out_b)."""
+    """Decompose V_phi (input_a x input_b) V_phi^dag over Cyl(r_out_a) x
+    Cyl(r_out_b) in the inputs' own frame: any pole, azimuth and phase."""
 
     input_a: BlochVector
     input_b: BlochVector
@@ -105,98 +102,30 @@ class DecompositionRequest:
     r_out_b: float
 
 
-@dataclass(frozen=True)
-class SymmetryFrame:
-    """Recipe for mapping a canonical-frame decomposition back to the
-    original inputs: an optional computational-basis conjugation (y flip),
-    one of the z-sign cases, local azimuth rotations, and a swap."""
-
-    case: str  # "pp" | "xx" | "ix"
-    swap: bool
-    yflip: bool
-    az_a: float
-    az_b: float
-    phi: float  # original gate phase, used by the case corrections
-
-    def map_pair(self, om_a: BlochVector, om_b: BlochVector):
-        if self.yflip:
-            om_a, om_b = y_reflect(om_a), y_reflect(om_b)
-        if self.case == "xx":
-            om_a = z_rotate(x_conjugate(om_a), self.phi)
-            om_b = z_rotate(x_conjugate(om_b), self.phi)
-        elif self.case == "ix":
-            om_a = z_rotate(om_a, self.phi)
-            om_b = x_conjugate(om_b)
-        om_a = z_rotate(om_a, self.az_a)
-        om_b = z_rotate(om_b, self.az_b)
-        if self.swap:
-            om_a, om_b = om_b, om_a
-        return om_a, om_b
-
-
-def canonicalize_inputs(req: DecompositionRequest):
-    """Reduce a request on extremal inputs to the canonical frame
-    (r_a, 0, +1) x (r_b, 0, +1) with phase folded into [0, pi].
-
-    Returns the canonical request and the SymmetryFrame whose map_pair sends
-    canonical decomposition terms back to terms for the original request."""
-    v_a, v_b = req.input_a, req.input_b
-    if abs(abs(v_a.z) - 1.0) > 1e-9 or abs(abs(v_b.z) - 1.0) > 1e-9:
-        raise NonExtremalInput("canonicalization needs inputs with z = +-1")
-
-    swap = v_a.z < 0 and v_b.z > 0
-    if swap:
-        v_a, v_b = v_b, v_a
-        r_out_a, r_out_b = req.r_out_b, req.r_out_a
-    else:
-        r_out_a, r_out_b = req.r_out_a, req.r_out_b
-
-    if v_a.z < 0:  # both down: X(x)X conjugation, phase unchanged
-        case, phi_eff = "xx", req.phi
-    elif v_b.z < 0:  # mixed: I(x)X conjugation sends phi to -phi
-        case, phi_eff = "ix", -req.phi
-    else:
-        case, phi_eff = "pp", req.phi
-
-    phi_mod = norm_angle(phi_eff)
-    yflip = phi_mod > math.pi
-    phi_fold = 2.0 * math.pi - phi_mod if yflip else phi_mod
-
-    frame = SymmetryFrame(case=case, swap=swap, yflip=yflip,
-                          az_a=v_a.azimuth(), az_b=v_b.azimuth(), phi=req.phi)
-    canonical = replace(
-        req,
-        input_a=BlochVector(radius(v_a), 0.0, 1.0),
-        input_b=BlochVector(radius(v_b), 0.0, 1.0),
-        phi=phi_fold,
-        r_out_a=r_out_a,
-        r_out_b=r_out_b,
-    )
-    return canonical, frame
-
-
 # ---------------------------------------------------------------------------
 # Closed form
 
-# The (I, X, Y) coefficients of a z = +1 side map onto I/2, X/2, Z/2, which
-# turns a unit extremal circle into the rebit pure states.
+# The (I, X, Y) coefficients of an extremal side map onto I/2, X/2, Z/2,
+# which turns a unit circle at either pole into the rebit pure states.
 _REBIT = 0.5 * np.real(np.stack([PAULI[0], PAULI[1], PAULI[3]]))
 # Real Y (x) Y: psi^T YY psi = -2 det(psi as a 2x2 matrix), zero iff the
 # two-rebit vector psi is a product.
 _YY = np.real(np.kron(PAULI[2], PAULI[2]))
 
 
-def _circle_points(rebits, r):
-    """Unit rebits (p, q) as z = +1 circle points (2pq r, (p^2 - q^2) r, 1)."""
+def _circle_points(rebits, r, z):
+    """Unit rebits (p, q) as points (2pq r, (p^2 - q^2) r, z) of the circle at z."""
     p, q = rebits[:, 0], rebits[:, 1]
-    return np.column_stack([2.0 * r * p * q, r * (p * p - q * q), np.ones(len(p))])
+    return np.column_stack([2.0 * r * p * q, r * (p * p - q * q), np.full(len(p), z)])
 
 
 def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
-    """Exact decomposition of a canonical-frame gate output over the z = +1
-    circles of Cyl(r_out_a) x Cyl(r_out_b), radii > 0.  Returns (feasible,
-    terms, residual): feasible says the operator below is PSD to 1e-12, and
-    residual is the largest Pauli-coefficient error of the terms.
+    """Exact decomposition of a gate output on extremal inputs over the
+    circles of Cyl(r_out_a) x Cyl(r_out_b), radii > 0, at each side's pole
+    read from the target (m[3, 0], m[0, 3]: diagonal gates keep the (I,Z) x
+    (I,Z) block).  Returns (feasible, terms, residual): feasible says the
+    operator below is PSD to 1e-12, and residual is the largest
+    Pauli-coefficient error of the terms.
 
     The (I,X,Y) x (I,X,Y) block scaled by 1/r_out per side is a real
     two-rebit operator with no Y(x)Y part, separable iff PSD, and then a mix
@@ -205,6 +134,7 @@ def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
     its sqrt(eigenvalue)-scaled eigenvectors to zero Y(x)Y expectation each,
     then factor each as a (x) b."""
     m = target.m if isinstance(target, PauliCoeffMatrix) else np.asarray(target)
+    z_a, z_b = m[3, 0], m[0, 3]
     block = m[:3, :3] / np.outer([1.0, r_out_a, r_out_a], [1.0, r_out_b, r_out_b])
     rho = np.einsum("ij,iac,jbd->abcd", block, _REBIT, _REBIT).reshape(4, 4)
     evals, evecs = np.linalg.eigh(rho)
@@ -229,8 +159,8 @@ def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
     weights = sv[:, 0] ** 2
     support = weights > 0.0
     terms = _terms_from_arrays(weights[support] / weights[support].sum(),
-                               _circle_points(u[support, :, 0], r_out_a),
-                               _circle_points(vt[support, 0, :], r_out_b))
+                               _circle_points(u[support, :, 0], r_out_a, z_a),
+                               _circle_points(vt[support, 0, :], r_out_b, z_b))
     residual = float(np.max(np.abs(reconstruct(terms).m - m)))
     return feasible, terms, residual
 
@@ -418,9 +348,9 @@ def decompose_gate_output(req: DecompositionRequest) -> list[DecompositionTerm]:
 
     Zero-radius inputs take the exact diagonal fast path (the gate acts as an
     outcome-conditioned Z-rotation on the partner); the identity gate returns
-    the input product; everything else goes through canonicalization and the
-    closed form.  Feasibility is decided by lemma1_feasible; a closed-form
-    reconstruction off by more than 1e-12 raises SolverFailure."""
+    the input product; anything else takes the closed form at azimuth 0 on the
+    inputs' own poles, Z-rotated per side.  lemma1_feasible decides
+    feasibility; a closed-form residual above 1e-12 raises SolverFailure."""
     r_a, r_b = radius(req.input_a), radius(req.input_b)
     query = GrowthQuery(_ratio(r_a, req.r_out_a), _ratio(r_b, req.r_out_b), req.phi)
     if not lemma1_feasible(query):
@@ -434,15 +364,18 @@ def decompose_gate_output(req: DecompositionRequest) -> list[DecompositionTerm]:
     if r_a <= ZERO_RADIUS or r_b <= ZERO_RADIUS:
         return _diagonal_fast_path(req, r_a <= ZERO_RADIUS)
 
-    canonical, frame = canonicalize_inputs(req)
-    target = apply_gate_pauli(canonical.phi, canonical.input_a,
-                              canonical.input_b)
-    _psd, terms, residual = closed_form_decomposition(
-        target, canonical.r_out_a, canonical.r_out_b)
+    v_a, v_b = req.input_a, req.input_b
+    if abs(abs(v_a.z) - 1.0) > 1e-9 or abs(abs(v_b.z) - 1.0) > 1e-9:
+        raise NonExtremalInput("the closed form needs inputs with z = +-1")
+    target = apply_gate_pauli(req.phi,
+                              BlochVector(r_a, 0.0, math.copysign(1.0, v_a.z)),
+                              BlochVector(r_b, 0.0, math.copysign(1.0, v_b.z)))
+    _psd, terms, residual = closed_form_decomposition(target, req.r_out_a, req.r_out_b)
     if residual > EXACT_TOL:
         raise SolverFailure(f"closed-form residual {residual:.3e} exceeds "
                             f"{EXACT_TOL:.0e} for {query}")
-    return [DecompositionTerm(t.weight, *frame.map_pair(t.omega_a, t.omega_b))
+    return [DecompositionTerm(t.weight, z_rotate(t.omega_a, v_a.azimuth()),
+                              z_rotate(t.omega_b, v_b.azimuth()))
             for t in terms]
 
 
@@ -479,6 +412,18 @@ def decomposition_to_json(terms, residual: float, n: int) -> dict:
             "residual": residual, "N": n}
 
 
+def bisect_bracket(upper, lo, hi, tol):
+    """Halve [lo, hi] to width tol, moving hi to midpoints where the monotone
+    predicate `upper` holds and lo to the others.  Returns (lo, hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if upper(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def bisect_min_radius(feasible, tol, hi_start=1.0, hi_max=64.0):
     """Smallest radius accepted by a monotone feasibility predicate, by
     doubling to find an upper bracket and then bisecting.  Returns the
@@ -489,13 +434,7 @@ def bisect_min_radius(feasible, tol, hi_start=1.0, hi_max=64.0):
         hi *= 2.0
         if hi > hi_max:
             raise NoUpperBracket(f"infeasible at radius {hi_max}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect_bracket(feasible, lo, hi, tol)[1]
 
 
 def min_output_radius(space_a, space_b, phi: float, tol: float = 1e-3,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bloch import BlochVector, apply_gate_pauli, radius
 from .decompose import (
+    bisect_bracket,
     bisect_min_radius,
     decompose_over_circles,
     hull_membership,
@@ -265,16 +266,9 @@ def max_input_radius_bspace(delta: int, phi: float, n: int = 40,
         return ok
 
     # bisect on [0, 1); radius 1 - tol is the hard cap for valid inputs
-    lo, hi = 0.0, 1.0 - tol
-    if feasible(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if feasible(1.0 - tol):
+        return 1.0 - tol
+    return bisect_bracket(lambda r: not feasible(r), 0.0, 1.0 - tol, tol)[0]
 
 
 def bspace_search_rows(delta: int, phi: float, n: int = 40,

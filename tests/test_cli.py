@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cylsim.cli import main
 
@@ -129,6 +133,9 @@ def test_bad_input_exit_codes(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, _ = run_cli(["simulate", "--spec", str(bad)], capsys)
     assert code == 4
+    code, out, err = run_cli(["simulate", "--spec", str(tmp_path)], capsys)
+    assert code == 4
+    assert out == "" and err.startswith("bad input:") and err.count("\n") == 1
     # the sampler has no discretization or tolerance to set
     for flag, value in (("--tolerance", "1e-7"), ("--discretization", "40")):
         code, _, _ = run_cli(["simulate", "--spec", str(bad), flag, value], capsys)
@@ -266,6 +273,14 @@ def _powerlaw(**params):
     return patch
 
 
+def _without(key, *path):
+    def patch(spec):
+        for step in path:
+            spec = spec[step]
+        del spec[key]
+    return patch
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("patch", [
     lambda s: s["inputs"]["0"].update(theta=math.nan),
@@ -280,16 +295,28 @@ def _powerlaw(**params):
     _powerlaw(time=math.inf, nn_phase=None),
     _powerlaw(nn_phase=math.nan),
     lambda s: s["sampler"].update(num_samples=0),
+    # structural faults; a patch that returns a document replaces the spec
+    lambda s: {},
+    lambda s: [],
+    _without("theta", "inputs", "0"),
+    _without("kind", "schedule", 0),
+    lambda s: s["gates"][0].update(edge=[0]),
+    lambda s: s["sampler"].update(seed=None),
+    lambda s: s["sampler"].update(num_samples=math.inf),
+    _powerlaw(bogus=1.0),
 ], ids=["theta-nan", "theta-inf", "azimuth", "shrink", "phi", "omega",
-        "adaptive-angle", "alpha", "time", "nn-phase", "no-samples"])
+        "adaptive-angle", "alpha", "time", "nn-phase", "no-samples",
+        "empty-object", "array", "no-theta", "no-kind", "short-edge",
+        "null-seed", "infinite-samples", "powerlaw-key"])
 def test_malformed_spec_rejected(capsys, tmp_path, command, patch):
     spec = _pair_spec()
-    patch(spec)
+    replaced = patch(spec)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec if replaced is None else replaced))
     code, out, err = run_cli([command, "--spec", str(path)], capsys)
     assert code == 4, err
     assert out == "" and err.startswith("bad input:")
+    assert err.count("\n") == 1
 
 
 def test_negative_branch_probability_exit_code(capsys, tmp_path, monkeypatch):
@@ -317,3 +344,89 @@ def test_feasible_pair_at_coarse_discretization(capsys, tmp_path):
     assert code == 0, err
     counts = [int(ln.split(",")[1]) for ln in out.strip().splitlines()[2:]]
     assert sum(counts) == 200
+
+
+# -- fuzzing the spec surface -------------------------------------------------
+
+_ANGLES = st.floats(-7.0, 7.0) | st.sampled_from([0.0, 1e-15, math.pi / 2, math.pi])
+# junk stays small in magnitude, so a junk sample count cannot hang the run
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=3)
+    | st.floats(-20.0, 20.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(doc, prefix=()):
+    """Every (container path, key) in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix, key
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _fuzzed_specs(draw):
+    nodes = list(range(draw(st.integers(1, 4))))
+    node = st.sampled_from(nodes)
+    schedule = [
+        {"node": n, "kind": draw(st.sampled_from(["Z", "XY"])),
+         "omega": draw(_ANGLES),
+         "mode": draw(st.sampled_from(["destructive", "quasi-destructive"]))}
+        for n in draw(st.permutations(nodes))[:draw(st.integers(0, len(nodes)))]]
+    for k, entry in enumerate(schedule):
+        if k and draw(st.booleans()):
+            entry["adaptive"] = {"nodes": [schedule[0]["node"]],
+                                 "angles": [draw(_ANGLES), draw(_ANGLES)]}
+    edges = draw(st.lists(st.tuples(node, node), max_size=4))
+    gates = [{"edge": list(e), "phi": draw(_ANGLES)} for e in edges]
+    for gate in gates:
+        if schedule and draw(st.booleans()):
+            gate["after_measurement"] = draw(st.integers(0, len(schedule)))
+    doc = {
+        "version": 1, "graph": [list(e) for e in edges],
+        "inputs": {str(n): {"theta": draw(_ANGLES), "azimuth": draw(_ANGLES),
+                            "shrink": draw(st.floats(0.05, 1.0))}
+                   for n in nodes},
+        "gates": gates, "schedule": schedule,
+        "sampler": {"num_samples": draw(st.integers(1, 20)),
+                    "seed": draw(st.integers(0, 2 ** 32))},
+    }
+    if draw(st.booleans()):
+        doc["gates"] = {"powerlaw": {"alpha": draw(st.floats(0.5, 4.0)),
+                                     "nn_phase": draw(_ANGLES),
+                                     "cutoff": draw(st.integers(1, 3))}}
+    # structural faults: delete a field or replace it (or the whole
+    # document) with junk
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(_paths(doc))
+        if not paths or draw(st.integers(0, 9)) == 0:
+            doc = draw(_JUNK)
+            continue
+        prefix, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in prefix:
+            parent = parent[step]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(doc=_fuzzed_specs(), command=st.sampled_from(["simulate", "verify"]))
+@example(doc=_pair_spec(theta=0.8), command="verify")  # infeasible: exit 2
+def test_fuzzed_specs_exit_cleanly(tmp_path_factory, doc, command):
+    """Any spec document, valid or broken, runs (0), is infeasible (2) or is
+    bad input (4); it never raises and never ends in a solver failure (3)."""
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--spec", str(path)])
+    assert code in (0, 2, 4), (code, err.getvalue(), doc)
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

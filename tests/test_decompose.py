@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from cylsim.decompose import (
     DecompositionRequest,
     InfeasibleRequest,
     NonExtremalInput,
-    canonicalize_inputs,
     closed_form_decomposition,
     coupling_operator,
     decompose_gate_output,
@@ -70,38 +68,11 @@ def _random_extremal(rng, r):
     return BlochVector(r * math.cos(az), r * math.sin(az), z)
 
 
-def test_canonicalize_round_trip_all_cases():
-    """decompose, transform back, reconstruct: the Frobenius residual matches
-    the canonical one (the frame maps are orthogonal on Pauli coefficients)."""
-    rng = np.random.default_rng(37)
-    for z_a, z_b in itertools.product((1.0, -1.0), repeat=2):
-        for phi in (0.9, 2 * math.pi - 0.9):  # with and without the y-flip
-            r_a, r_b = rng.uniform(0.05, 0.3, 2)
-            az_a, az_b = rng.uniform(0, 2 * math.pi, 2)
-            v_a = BlochVector(r_a * math.cos(az_a), r_a * math.sin(az_a), z_a)
-            v_b = BlochVector(r_b * math.cos(az_b), r_b * math.sin(az_b), z_b)
-            lam = lambda_phi(phi)
-            req = DecompositionRequest(v_a, v_b, phi, r_a * lam, r_b * lam)
-            canonical, frame = canonicalize_inputs(req)
-            assert canonical.input_a.z == 1.0 and canonical.input_b.z == 1.0
-            assert 0.0 <= canonical.phi <= math.pi
-
-            terms = decompose_gate_output(req)
-            target = apply_gate_pauli(phi, v_a, v_b)
-            res_back = np.linalg.norm(reconstruct(terms).m - target.m)
-
-            canon_terms = decompose_gate_output(canonical)
-            canon_target = apply_gate_pauli(canonical.phi, canonical.input_a,
-                                            canonical.input_b)
-            res_canon = np.linalg.norm(reconstruct(canon_terms).m - canon_target.m)
-            assert abs(res_back - res_canon) < 1e-10
-
-
-def test_canonicalize_rejects_non_extremal():
+def test_decompose_rejects_non_extremal():
     req = DecompositionRequest(BlochVector(0.1, 0, 0.5), BlochVector(0.1, 0, 1),
                                math.pi, 0.3, 0.3)
     with pytest.raises(NonExtremalInput):
-        canonicalize_inputs(req)
+        decompose_gate_output(req)
 
 
 def test_hull_membership_product_target():
@@ -251,18 +222,27 @@ def test_decompose_infeasible_raises():
 
 
 def test_closed_form_matches_lemma1():
-    """Random canonical points, half exactly on the R = lambda(phi) r
-    boundary: the PSD verdict is lemma 1's, and feasible decompositions are
-    exact, have at most 4 terms and lie on the output circles."""
+    """Random points, half exactly on the R = lambda(phi) r boundary: first
+    2400 at z = +1, azimuth 0 and phi in [0, pi], then 2400 in all four z
+    frames at random azimuths and phases in (-2 pi, 4 pi).  The PSD verdict
+    is lemma 1's, and feasible decompositions are exact, have at most 4
+    terms and lie on the output circles at the inputs' own z."""
     rng = np.random.default_rng(47)
-    for k in range(2400):
+    for k in range(4800):
         r_a, r_b = rng.uniform(0.01, 1.0, 2)
-        phi = rng.uniform(0.0, math.pi)
+        if k < 2400:
+            z_a, z_b, az_a, az_b = 1.0, 1.0, 0.0, 0.0
+            phi = rng.uniform(0.0, math.pi)
+        else:
+            z_a, z_b = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))[k % 4]
+            az_a, az_b = rng.uniform(0.0, 2 * math.pi, 2)
+            phi = rng.uniform(-2 * math.pi, 4 * math.pi)
         if k % 2:
             r_out_a, r_out_b = r_a / rng.uniform(0.05, 1.2), r_b / rng.uniform(0.05, 1.2)
         else:
             r_out_a, r_out_b = lambda_phi(phi) * r_a, lambda_phi(phi) * r_b
-        target = apply_gate_pauli(phi, BlochVector(r_a, 0, 1), BlochVector(r_b, 0, 1))
+        target = apply_gate_pauli(phi, z_rotate(BlochVector(r_a, 0, z_a), az_a),
+                                  z_rotate(BlochVector(r_b, 0, z_b), az_b))
         feasible, terms, residual = closed_form_decomposition(target, r_out_a,
                                                               r_out_b)
         query = GrowthQuery(r_a / r_out_a, r_b / r_out_b, phi)
@@ -276,7 +256,7 @@ def test_closed_form_matches_lemma1():
         for t in terms:
             assert radius(t.omega_a) == pytest.approx(r_out_a, abs=1e-12)
             assert radius(t.omega_b) == pytest.approx(r_out_b, abs=1e-12)
-            assert t.omega_a.z == 1.0 and t.omega_b.z == 1.0
+            assert t.omega_a.z == z_a and t.omega_b.z == z_b
 
 
 @pytest.mark.parametrize("phi", [1e-13, 1e-10, 1e-8, 2 * math.pi - 1e-9])
