@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .bloch import ZERO_RADIUS, BlochVector, MeasurementSpec, norm_angle
@@ -78,6 +79,13 @@ class GateStep:
     edge: tuple[int, int]
     phi: float
     after_measurement: int | None = None  # schedule index this gate follows
+
+    def __post_init__(self):
+        anchor = self.after_measurement
+        if anchor is not None and (isinstance(anchor, bool)
+                                   or not isinstance(anchor, numbers.Integral)):
+            raise ValueError("after_measurement must be an integer schedule "
+                             f"index, not {anchor!r}")
 
     def to_json(self) -> dict:
         out = {"edge": list(self.edge), "phi": self.phi}

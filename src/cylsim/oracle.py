@@ -1,9 +1,10 @@
-"""Exact dense density-matrix simulation at desk scale.
+"""Exact quantum simulation at desk scale (n <= 10 qubits).
 
-This module is the ground truth for every acceptance experiment: it carries
-the full 2^n x 2^n density matrix (n <= 10), applies diagonal gates by phase
-conjugation, and walks the complete outcome tree of a measurement schedule.
-Correctness over scale throughout.
+This module is the ground truth for every acceptance experiment.
+`DenseState` and `evolve` hold and conjugate a full 2^n x 2^n density matrix.
+`exact_distribution` walks the complete outcome tree of a measurement
+schedule on a state tensor whose operations each touch only the axes of the
+qubits involved, about 4^n entries per level of the tree.
 """
 
 from __future__ import annotations
@@ -99,27 +100,6 @@ def evolve(state: DenseState, gate: DiagonalGate, nodes: tuple[int, int]) -> Den
     return DenseState(state.n, state.rho * np.outer(d, d.conj()))
 
 
-def _projector(n: int, qubit: int, m: MeasurementSpec, outcome: int) -> np.ndarray:
-    axis = m.axis() * (1.0 if outcome > 0 else -1.0)
-    p1 = 0.5 * (PAULI[0] + axis[0] * PAULI[1] + axis[1] * PAULI[2] + axis[2] * PAULI[3])
-    op = np.array([[1.0 + 0j]])
-    for q in range(n):
-        op = np.kron(op, p1 if q == qubit else PAULI[0])
-    return op
-
-
-def _dephase(rho: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    idx = np.arange(2 ** n)
-    bit = (idx >> (n - 1 - qubit)) & 1
-    mask = bit[:, None] == bit[None, :]
-    return rho * mask
-
-
-def _trace_out(rho: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    keep = [q for q in range(n) if q != qubit]
-    return _partial_trace_keep(rho, n, keep)
-
-
 @dataclass
 class ExactDistribution:
     """Exact outcome distribution with the mass lost to branch pruning."""
@@ -131,64 +111,92 @@ class ExactDistribution:
         return sum(self.probs.values()) + self.pruned_mass
 
 
+# The outcome-tree walk carries the state as a tensor with one group of axes
+# per live qubit, in node order.  A coherent qubit owns two axes (row, column);
+# a qubit after a quasi-destructive measurement owns one, its classical Z bit:
+# each node is measured once, and afterwards only diagonal gates touch it.
+# `layout` lists (node, number of axes) in axis order.
+
+def _apply_gate(tensor: np.ndarray, layout, edge, phi: float) -> np.ndarray:
+    """Multiply elementwise by the gate's phase tensor d (x) conj(d) over its
+    endpoints' axes; a dephased endpoint repeats its one label, which reads
+    the diagonal (row = column)."""
+    d = DiagonalGate(phi).diag().reshape(2, 2)
+    factor = np.multiply.outer(d, d.conj())  # axes (u_row, v_row, u_col, v_col)
+    u, v = edge
+    width = dict(layout)
+    labels = {u: "ac" if width[u] == 2 else "a", v: "bd" if width[v] == 2 else "b"}
+    src = "ab" + labels[u][-1] + labels[v][-1]
+    out = "".join(labels.get(node, "") for node, _ in layout)
+    shape = [2 if node in labels else 1 for node, w in layout for _ in range(w)]
+    return tensor * np.einsum(f"{src}->{out}", factor).reshape(shape)
+
+
+def _trace_subscripts(layout) -> str:
+    """einsum subscripts of the trace: a coherent qubit repeats its label."""
+    return "".join(chr(97 + k) * w for k, (_, w) in enumerate(layout)) + "->"
+
+
 def exact_distribution(spec, prune: float = 1e-15) -> ExactDistribution:
     """Walk the full outcome tree of an experiment's schedule.
 
-    Gates and measurements follow the experiment timeline; quasi-destructive
-    measurements dephase the measured qubit in place, destructive ones trace
-    it out.  Branches below the prune threshold are dropped and their mass
-    reported."""
+    Gates and measurements follow the experiment timeline.  Measurement
+    projectors are rank 1, so a measurement contracts the qubit's two axes
+    with the projector P and its probability is the trace of the result; a
+    quasi-destructive measurement leaves the qubit as one axis weighted by
+    diag(P), a destructive one drops it.  Branches below the prune threshold
+    are dropped and their mass reported."""
     from .experiment import ExperimentSpec, resolve_measure_angle  # cycle guard
 
     assert isinstance(spec, ExperimentSpec)
     nodes = spec.node_ids()
     if len(nodes) > MAX_QUBITS:
         raise TooManyQubits(f"{len(nodes)} nodes exceed the dense limit {MAX_QUBITS}")
-    pos0 = {node: k for k, node in enumerate(nodes)}
-    state0 = DenseState.from_product([spec.inputs[node].bloch() for node in nodes])
+    tensor = np.ones((), dtype=complex)
+    for node in nodes:
+        tensor = np.multiply.outer(tensor, spec.inputs[node].bloch().dense())
     timeline = spec.timeline()
 
     probs: dict[str, float] = {}
     pruned = 0.0
 
-    def walk(rho, positions, n_live, step, prob, outcomes, record):
+    def walk(tensor, layout, step, prob, outcomes, record):
         nonlocal pruned
         while step < len(timeline):
             kind, payload = timeline[step]
             if kind == "gate":
-                (u, v), phi = payload.edge, payload.phi
-                st = evolve(DenseState(n_live, rho),
-                            DiagonalGate(phi), (positions[u], positions[v]))
-                rho = st.rho
+                tensor = _apply_gate(tensor, layout, payload.edge, payload.phi)
                 step += 1
                 continue
             mstep = payload
             omega = resolve_measure_angle(mstep, record)
             m = MeasurementSpec(mstep.spec.kind, omega, mstep.spec.mode)
-            q = positions[mstep.node]
+            k = [node for node, _ in layout].index(mstep.node)
+            grouped = tensor.reshape(2 ** sum(w for _, w in layout[:k]), 4, -1)
+            rest = layout[:k] + layout[k + 1:]
+            trace = _trace_subscripts(rest)
             for outcome in (+1, -1):
-                proj = _projector(n_live, q, m, outcome)
-                sub = proj @ rho @ proj
-                p = float(np.real(np.trace(sub)))
+                proj = BlochVector(*(m.axis() * (1.0 if outcome > 0 else -1.0))).dense()
+                # sum over (row, column) of rho[r, c] P[c, r]: tr_q(P rho)
+                sub = np.einsum("ikj,k->ij", grouped, proj.T.ravel())
+                p = float(np.einsum(trace, sub.reshape((2,) * (tensor.ndim - 2))).real)
                 if p <= prune:
                     if p > 0:
                         pruned += prob * p
                     continue
                 sub = sub / p
                 if m.mode == "quasi-destructive":
-                    new_rho = _dephase(sub, n_live, q)
-                    new_pos, new_n = positions, n_live
+                    sub = sub[:, None, :] * proj.diagonal()[:, None]
+                    new_layout = layout[:k] + [(mstep.node, 1)] + layout[k + 1:]
                 else:
-                    new_rho = _trace_out(sub, n_live, q)
-                    new_pos = {node: k - (1 if k > q else 0)
-                               for node, k in positions.items() if node != mstep.node}
-                    new_n = n_live - 1
+                    new_layout = rest
                 new_record = dict(record)
                 new_record[mstep.node] = outcome
-                walk(new_rho, new_pos, new_n, step + 1, prob * p,
-                     outcomes + ("+" if outcome > 0 else "-"), new_record)
+                walk(sub.reshape((2,) * sum(w for _, w in new_layout)), new_layout,
+                     step + 1, prob * p, outcomes + ("+" if outcome > 0 else "-"),
+                     new_record)
             return
         probs[outcomes] = probs.get(outcomes, 0.0) + prob
 
-    walk(state0.rho, pos0, len(nodes), 0, 1.0, "", {})
+    walk(tensor, [(node, 2) for node in nodes], 0, 1.0, "", {})
     return ExactDistribution(probs, pruned)

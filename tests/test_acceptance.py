@@ -190,6 +190,50 @@ def test_criterion_4_sampling_vs_oracle():
     _report(4, "; ".join(details) + f", {elapsed:.0f}s")
 
 
+def _experiment_near_cap_grid(rows, cols, seed):
+    """CZ grid at theta = 3 deg (node = row * cols + col), every measurement XY
+    and quasi-destructive, two adaptive parity rules, and one gate anchored
+    after measurement 0 (diagonal fast path)."""
+    theta = math.radians(3)
+    n = rows * cols
+    node = lambda r, c: r * cols + c  # noqa: E731
+    edges = [(node(r, c), node(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(node(r, c), node(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    schedule = [MeasureStep(k, MeasurementSpec("XY", 0.0 if k < cols else math.pi / 4,
+                                               "quasi-destructive")) for k in range(n)]
+    schedule[2] = MeasureStep(2, schedule[2].spec, AdaptiveRule((0, 1), (0.3, 1.1)))
+    schedule[n - 1] = MeasureStep(n - 1, schedule[n - 1].spec,
+                                  AdaptiveRule((cols, n - 2), (0.7, 1.9)))
+    return ExperimentSpec(
+        edges=edges,
+        inputs={k: NodeInput(theta) for k in range(n)},
+        gates=[GateStep(e, math.pi) for e in edges]
+        + [GateStep((0, 1), math.pi, after_measurement=0)],
+        schedule=schedule,
+        sampler=SamplerSettings(num_samples=20000, seed=seed),
+    )
+
+
+def test_near_cap_grids_sampling_vs_oracle():
+    # ten and nine qubits, at and near the oracle's cap; the TV bound is
+    # exceeded by a correct sampler with probability at most 1e-6 (the mean
+    # is at most sqrt((K - 1) / n) / 2, McDiarmid adds sqrt(ln(1e6) / 2n))
+    details = []
+    for (rows, cols), seed in (((2, 5), 501), ((3, 3), 502)):
+        spec = _experiment_near_cap_grid(rows, cols, seed)
+        assert radius_ledger(spec).simulable
+        run = run_branches(spec, check_invariants=True)
+        exact = exact_distribution(spec)
+        assert exact.pruned_mass == 0.0
+        assert exact.total() == pytest.approx(1.0, abs=1e-12)
+        n, k = spec.sampler.num_samples, len(exact.probs)
+        bound = 0.5 * math.sqrt((k - 1) / n) + math.sqrt(math.log(1e6) / (2 * n))
+        tv = empirical_tv(run.outcomes, exact.probs)
+        assert tv <= bound, f"{rows}x{cols}: TV {tv:.4f} exceeds {bound:.4f}"
+        details.append(f"{rows}x{cols}: TV={tv:.4f} (bound {bound:.4f}, K={k})")
+    print("[PASS] near-cap grids: " + "; ".join(details))
+
+
 def test_criterion_5_bspace_reproduction():
     t0 = time.perf_counter()
     best = max_input_radius_bspace(3, math.pi, n=40, tol=1e-4)

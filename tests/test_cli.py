@@ -304,10 +304,15 @@ def _without(key, *path):
     lambda s: s["sampler"].update(seed=None),
     lambda s: s["sampler"].update(num_samples=math.inf),
     _powerlaw(bogus=1.0),
+    lambda s: s["gates"][0].update(after_measurement=0.5),
+    lambda s: s["gates"][0].update(after_measurement=1.0),
+    lambda s: s["gates"][0].update(after_measurement=True),
+    lambda s: s["gates"][0].update(after_measurement="0"),
 ], ids=["theta-nan", "theta-inf", "azimuth", "shrink", "phi", "omega",
         "adaptive-angle", "alpha", "time", "nn-phase", "no-samples",
         "empty-object", "array", "no-theta", "no-kind", "short-edge",
-        "null-seed", "infinite-samples", "powerlaw-key"])
+        "null-seed", "infinite-samples", "powerlaw-key", "anchor-fraction",
+        "anchor-float", "anchor-bool", "anchor-string"])
 def test_malformed_spec_rejected(capsys, tmp_path, command, patch):
     spec = _pair_spec()
     replaced = patch(spec)

@@ -3,15 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from cylsim.bloch import BlochVector, DiagonalGate, MeasurementSpec, apply_gate_pauli
+from cylsim.bloch import (
+    PAULI,
+    BlochVector,
+    DiagonalGate,
+    MeasurementSpec,
+    apply_gate_pauli,
+)
 from cylsim.experiment import (
+    AdaptiveRule,
     ExperimentSpec,
     GateStep,
     MeasureStep,
     NodeInput,
     SamplerSettings,
+    resolve_measure_angle,
 )
-from cylsim.oracle import DenseState, TooManyQubits, evolve, exact_distribution
+from cylsim.oracle import (
+    DenseState,
+    ExactDistribution,
+    TooManyQubits,
+    evolve,
+    exact_distribution,
+)
 
 
 def plus_state():
@@ -183,3 +197,135 @@ def test_validate():
     wide = DenseState.from_product([BlochVector(1.2, 0, 0.9)])
     with pytest.raises(ValueError):
         wide.validate()
+
+
+# -- brute-force reference: full 2^n x 2^n Kronecker projectors ---------------
+
+def _kron_projector(n, qubit, m, outcome):
+    axis = m.axis() * (1.0 if outcome > 0 else -1.0)
+    p1 = 0.5 * (PAULI[0] + axis[0] * PAULI[1] + axis[1] * PAULI[2] + axis[2] * PAULI[3])
+    op = np.array([[1.0 + 0j]])
+    for q in range(n):
+        op = np.kron(op, p1 if q == qubit else PAULI[0])
+    return op
+
+
+def _kron_dephase(rho, n, qubit):
+    bit = (np.arange(2 ** n) >> (n - 1 - qubit)) & 1
+    return rho * (bit[:, None] == bit[None, :])
+
+
+def _kron_trace_out(rho, n, qubit):
+    tensor = np.trace(rho.reshape([2] * (2 * n)), axis1=qubit, axis2=qubit + n)
+    return tensor.reshape(2 ** (n - 1), 2 ** (n - 1))
+
+
+def _kron_reference(spec, prune=1e-15):
+    """The dense walk: every branch carries the full density matrix and
+    measures by P rho P with P embedded by Kronecker products."""
+    nodes = spec.node_ids()
+    timeline = spec.timeline()
+    probs, pruned = {}, 0.0
+
+    def walk(rho, positions, n_live, step, prob, outcomes, record):
+        nonlocal pruned
+        while step < len(timeline):
+            kind, payload = timeline[step]
+            if kind == "gate":
+                (u, v), phi = payload.edge, payload.phi
+                rho = evolve(DenseState(n_live, rho), DiagonalGate(phi),
+                             (positions[u], positions[v])).rho
+                step += 1
+                continue
+            omega = resolve_measure_angle(payload, record)
+            m = MeasurementSpec(payload.spec.kind, omega, payload.spec.mode)
+            q = positions[payload.node]
+            for outcome in (+1, -1):
+                proj = _kron_projector(n_live, q, m, outcome)
+                sub = proj @ rho @ proj
+                p = float(np.real(np.trace(sub)))
+                if p <= prune:
+                    if p > 0:
+                        pruned += prob * p
+                    continue
+                sub = sub / p
+                if m.mode == "quasi-destructive":
+                    new_rho = _kron_dephase(sub, n_live, q)
+                    new_pos, new_n = positions, n_live
+                else:
+                    new_rho = _kron_trace_out(sub, n_live, q)
+                    new_pos = {node: k - (k > q) for node, k in positions.items()
+                               if node != payload.node}
+                    new_n = n_live - 1
+                walk(new_rho, new_pos, new_n, step + 1, prob * p,
+                     outcomes + ("+" if outcome > 0 else "-"),
+                     {**record, payload.node: outcome})
+            return
+        probs[outcomes] = probs.get(outcomes, 0.0) + prob
+
+    rho0 = DenseState.from_product([spec.inputs[node].bloch() for node in nodes]).rho
+    walk(rho0, {node: k for k, node in enumerate(nodes)}, len(nodes), 0, 1.0, "", {})
+    return ExactDistribution(probs, pruned)
+
+
+def _random_spec(rng):
+    """A valid random experiment on 1-5 nodes: mixed, near-pole and
+    arbitrary-azimuth inputs, phases in (-2 pi, 4 pi), Z and XY measurements
+    in both modes, adaptive rules on earlier outcomes, and gates anchored
+    after measurements, including on nodes already dephased."""
+    while True:
+        n = int(rng.integers(1, 6))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = [pairs[k] for k in rng.permutation(len(pairs))[:int(rng.integers(0, 7))]]
+        poles = (0.0, math.pi, 3e-8, float(rng.uniform(0, math.pi)))
+        inputs = {k: NodeInput(poles[int(rng.integers(0, 4))] if rng.random() < 0.2
+                               else float(rng.uniform(0, math.pi)),
+                               float(rng.uniform(0, 2 * math.pi)),
+                               1.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 1)))
+                  for k in range(n)}
+        order = [int(k) for k in rng.permutation(n)[:int(rng.integers(0, n + 1))]]
+        schedule = []
+        for i, node in enumerate(order):
+            mode = "quasi-destructive" if rng.random() < 0.6 else "destructive"
+            kind = "Z" if rng.random() < 0.3 else "XY"
+            adaptive = None
+            if kind == "XY" and i and rng.random() < 0.5:
+                adaptive = AdaptiveRule(tuple(order[:int(rng.integers(1, i + 1))]),
+                                        tuple(rng.uniform(0, 2 * math.pi, 2)))
+            schedule.append(MeasureStep(node, MeasurementSpec(
+                kind, float(rng.uniform(0, 2 * math.pi)), mode), adaptive))
+        gates = []
+        for e in edges:
+            for _ in range(int(rng.integers(1, 3))):
+                anchor = None
+                if schedule and rng.random() < 0.4:
+                    anchor = int(rng.integers(0, len(schedule)))
+                gates.append(GateStep(e, float(rng.uniform(-2 * math.pi, 4 * math.pi)),
+                                      anchor))
+        try:
+            return ExperimentSpec(edges=edges, inputs=inputs, gates=gates,
+                                  schedule=schedule,
+                                  sampler=SamplerSettings(num_samples=10, seed=0))
+        except ValueError:  # a gate on a destructively measured node
+            continue
+
+
+def test_exact_distribution_matches_kronecker_reference():
+    rng = np.random.default_rng(2026)
+    reused = pruned = 0
+    for _ in range(300):
+        spec = _random_spec(rng)
+        for prune in (1e-15, 1e-2):  # the default, and one that cuts real mass
+            fast = exact_distribution(spec, prune)
+            slow = _kron_reference(spec, prune)
+            assert set(fast.probs) == set(slow.probs)
+            # near-pole inputs prune rounding-level branches, whose masses
+            # differ in the last ulp between the two summation orders
+            assert abs(fast.pruned_mass - slow.pruned_mass) <= 1e-12 * slow.pruned_mass
+            for key, p in slow.probs.items():
+                assert abs(fast.probs[key] - p) <= 1e-12, (key, spec.dumps())
+            pruned += slow.pruned_mass > 0
+        reused += any(g.after_measurement is not None and any(
+            m.node in g.edge for m in spec.schedule[:g.after_measurement + 1])
+            for g in spec.gates)
+    assert reused > 30 and pruned > 10  # gates on dephased nodes, and pruning

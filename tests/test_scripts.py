@@ -1,0 +1,26 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_oracle_runs_on_a_tiny_config(tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"before": {"cases": {}}}))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_oracle.py"),
+                    "--label", "tiny", "--sizes", "3", "--repeats", "2",
+                    "--output", str(out)], check=True, capture_output=True,
+                   timeout=120)
+    record = json.loads(out.read_text())
+    assert set(record) == {"before", "tiny"}  # other labels are kept
+    tiny = record["tiny"]
+    assert set(tiny["cases"]) == {"chain3-quasi-destructive", "chain3-destructive",
+                                  "grid2x4"}
+    for case in tiny["cases"].values():
+        assert len(case["runs_s"]) == 2 and case["median_s"] > 0
+        assert case["pruned_mass"] == 0.0
+    assert tiny["cases"]["grid2x4"]["outcomes"] == 256
+    assert {"numpy", "scipy", "python"} <= set(tiny["versions"])
+    assert tiny["blas_threads"] == 1
