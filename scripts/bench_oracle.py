@@ -69,9 +69,6 @@ def main(argv=None) -> int:
     for var in THREAD_VARS:
         os.environ[var] = "1"
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "bench")]
-    import numpy
-    import scipy
-
     from cylsim.experiment import ExperimentSpec
     from cylsim.oracle import exact_distribution
 
@@ -93,18 +90,27 @@ def main(argv=None) -> int:
         print(f"{args.label} {name}: median {cases[name]['median_s']:.4f} s "
               f"over {len(runs)} runs", file=sys.stderr, flush=True)
 
-    out = Path(args.output)
-    record = json.loads(out.read_text()) if out.exists() else {}
-    record[args.label] = {
-        "machine": {"cpu": _cpu_model(), "cores": os.cpu_count(),
-                    "platform": platform.platform()},
-        "versions": {"python": platform.python_version(),
-                     "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "blas_threads": 1,
-        "cases": cases,
-    }
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    save(args.output, args.label, {**environment(), "blas_threads": 1, "cases": cases})
     return 0
+
+
+def environment() -> dict:
+    """The machine and the Python, numpy and scipy versions."""
+    import numpy
+    import scipy
+
+    return {"machine": {"cpu": _cpu_model(), "cores": os.cpu_count(),
+                        "platform": platform.platform()},
+            "versions": {"python": platform.python_version(),
+                         "numpy": numpy.__version__, "scipy": scipy.__version__}}
+
+
+def save(path, label: str, entry: dict):
+    """Store `entry` under `label` in the JSON file, keeping other labels."""
+    out = Path(path)
+    record = json.loads(out.read_text()) if out.exists() else {}
+    record[label] = entry
+    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -119,26 +119,26 @@ class MeasurementSpec:
 
 
 class MeasureProbs(NamedTuple):
-    p_plus: float
-    p_minus: float
-    negative: bool  # set when either value < -1e-12 (radius > 1 inputs)
+    p_plus: float | np.ndarray
+    p_minus: float | np.ndarray
+    negative: bool  # set when any value < -1e-12 (radius > 1 inputs)
 
 
 def measure_prob(v: BlochVector, m: MeasurementSpec) -> MeasureProbs:
-    """Outcome quasi-probabilities for measuring v.  Values may leave [0, 1]
-    when the vector's radius exceeds 1; callers decide what that means."""
+    """Outcome quasi-probabilities for measuring v, elementwise when v's
+    components (and an XY measurement's omega) are arrays.  Values may leave
+    [0, 1] when the vector's radius exceeds 1; callers decide what that
+    means."""
     if m.kind == "Z":
         s = v.z
     else:
-        s = v.x * math.cos(m.omega) + v.y * math.sin(m.omega)
+        s = v.x * np.cos(m.omega) + v.y * np.sin(m.omega)
     # complement the larger value so the pair sums to 1 exactly (Sterbenz)
-    if s >= 0.0:
-        p_plus = (1.0 + s) / 2.0
-        p_minus = 1.0 - p_plus
-    else:
-        p_minus = (1.0 - s) / 2.0
-        p_plus = 1.0 - p_minus
-    return MeasureProbs(p_plus, p_minus, min(p_plus, p_minus) < -1e-12)
+    big = (1.0 + np.abs(s)) / 2.0
+    small = 1.0 - big
+    p_plus = np.where(s >= 0.0, big, small)[()]
+    p_minus = np.where(s >= 0.0, small, big)[()]
+    return MeasureProbs(p_plus, p_minus, bool(np.any(small < -1e-12)))
 
 
 def post_measurement_state(m: MeasurementSpec, outcome: int) -> BlochVector:

@@ -85,10 +85,6 @@ class DecompositionTerm:
     omega_a: BlochVector
     omega_b: BlochVector
 
-    def to_json(self) -> dict:
-        return {"p": self.weight, "omegaA": self.omega_a.to_json(),
-                "omegaB": self.omega_b.to_json()}
-
 
 @dataclass(frozen=True)
 class DecompositionRequest:
@@ -111,6 +107,9 @@ _REBIT = 0.5 * np.real(np.stack([PAULI[0], PAULI[1], PAULI[3]]))
 # Real Y (x) Y: psi^T YY psi = -2 det(psi as a 2x2 matrix), zero iff the
 # two-rebit vector psi is a product.
 _YY = np.real(np.kron(PAULI[2], PAULI[2]))
+# A fixed two-rebit direction with no symmetry of the basis: it chooses
+# between mirror-image Givens roots.
+_TIE = np.array([1.0, 2.0, 3.0, 5.0])
 
 
 def _circle_points(rebits, r, z):
@@ -150,8 +149,17 @@ def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
         if d[hi] <= 0.0 or d[lo] >= 0.0:
             break
         g = cols[:, hi] @ _YY @ cols[:, lo]
-        # smaller root of d_hi + 2 g t + d_lo t^2 = 0, t = tan(angle)
-        t = -d[hi] / (g + math.copysign(math.sqrt(g * g - d[hi] * d[lo]), g))
+        s = math.sqrt(g * g - d[hi] * d[lo])
+        # d_hi + 2 g t + d_lo t^2 = 0 (t = tan(angle)) has one root of each
+        # sign: take the smaller, unless g is too small for its sign to be
+        # more than rounding (at f_a = f_b it is zero); the roots then
+        # mirror each other and a fixed direction picks one, whatever the
+        # signs of the columns
+        if abs(g) > 1e-6 * s:
+            sign = -math.copysign(1.0, g)
+        else:
+            sign = 1.0 if (_TIE @ cols[:, hi]) * (_TIE @ cols[:, lo]) >= 0.0 else -1.0
+        t = sign * d[hi] / (s - sign * g)
         c = 1.0 / math.sqrt(1.0 + t * t)
         cols[:, [hi, lo]] = cols[:, [hi, lo]] @ np.array([[c, -t * c], [t * c, c]])
 
@@ -404,12 +412,6 @@ def reconstruct(terms) -> PauliCoeffMatrix:
     for t in terms:
         m += t.weight * np.outer(t.omega_a.coeffs(), t.omega_b.coeffs())
     return PauliCoeffMatrix(m)
-
-
-def decomposition_to_json(terms, residual: float, n: int) -> dict:
-    """Exportable form of a decomposition."""
-    return {"terms": [t.to_json() for t in terms],
-            "residual": residual, "N": n}
 
 
 def bisect_bracket(upper, lo, hi, tol):

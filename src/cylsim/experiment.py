@@ -20,10 +20,20 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bloch import ZERO_RADIUS, BlochVector, MeasurementSpec, norm_angle
 from .growth import PowerLawSpec, lambda_phi
 
 LEDGER_SLACK = 1e-9
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int.  Bools and non-integral numbers (0.5, but also
+    1.0) are rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,7 @@ class AdaptiveRule:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdaptiveRule":
-        return cls(tuple(int(n) for n in data["nodes"]),
+        return cls(tuple(_integer(n, "adaptive node") for n in data["nodes"]),
                    (float(data["angles"][0]), float(data["angles"][1])))
 
 
@@ -81,11 +91,8 @@ class GateStep:
     after_measurement: int | None = None  # schedule index this gate follows
 
     def __post_init__(self):
-        anchor = self.after_measurement
-        if anchor is not None and (isinstance(anchor, bool)
-                                   or not isinstance(anchor, numbers.Integral)):
-            raise ValueError("after_measurement must be an integer schedule "
-                             f"index, not {anchor!r}")
+        if self.after_measurement is not None:
+            _integer(self.after_measurement, "after_measurement")
 
     def to_json(self) -> dict:
         out = {"edge": list(self.edge), "phi": self.phi}
@@ -95,7 +102,8 @@ class GateStep:
 
     @classmethod
     def from_json(cls, data: dict) -> "GateStep":
-        return cls((int(data["edge"][0]), int(data["edge"][1])),
+        return cls((_integer(data["edge"][0], "gate edge node"),
+                    _integer(data["edge"][1], "gate edge node")),
                    float(data["phi"]), data.get("after_measurement"))
 
 
@@ -116,22 +124,24 @@ class MeasureStep:
         adaptive = None
         if data.get("adaptive") is not None:
             adaptive = AdaptiveRule.from_json(data["adaptive"])
-        return cls(int(data["node"]), MeasurementSpec.from_json(data), adaptive)
+        return cls(_integer(data["node"], "measured node"),
+                   MeasurementSpec.from_json(data), adaptive)
 
 
-def resolve_measure_angle(step: MeasureStep, outcomes: dict[int, int]) -> float:
+def resolve_measure_angle(step: MeasureStep, outcomes: dict) -> float | np.ndarray:
     """Measurement angle after applying the adaptive rule to the recorded
-    outcomes (parity of -1 results on the rule's nodes)."""
+    outcomes (parity of -1 results on the rule's nodes).  Outcomes may be
+    +-1 arrays, one entry per sample; the angle is then an array too."""
     if step.adaptive is None:
         return step.spec.omega
-    parity = 0
+    parity = False
     for node in step.adaptive.nodes:
         if node not in outcomes:
             raise ValueError(f"adaptive rule needs outcome of node {node} "
                              "before this measurement")
-        if outcomes[node] < 0:
-            parity ^= 1
-    return norm_angle(step.adaptive.angles[parity])
+        parity = parity ^ (outcomes[node] < 0)
+    even, odd = step.adaptive.angles
+    return norm_angle(np.where(parity, odd, even)[()])
 
 
 @dataclass(frozen=True)
@@ -155,7 +165,8 @@ class SamplerSettings:
 
     @classmethod
     def from_json(cls, data: dict) -> "SamplerSettings":
-        return cls(int(data.get("num_samples", 10000)), int(data.get("seed", 0)),
+        return cls(_integer(data.get("num_samples", 10000), "num_samples"),
+                   _integer(data.get("seed", 0), "seed"),
                    int(data.get("discretization", 40)),
                    float(data.get("tolerance", 1e-7)))
 
@@ -171,7 +182,8 @@ class ExperimentSpec:
     sampler: SamplerSettings = field(default_factory=SamplerSettings)
 
     def __post_init__(self):
-        self.edges = [(int(a), int(b)) for a, b in self.edges]
+        self.edges = [(_integer(a, "graph node"), _integer(b, "graph node"))
+                      for a, b in self.edges]
         self.validate()
 
     def node_ids(self) -> list[int]:
@@ -187,19 +199,19 @@ class ExperimentSpec:
             deg[b] += 1
         return deg
 
-    def max_degree(self) -> int:
-        deg = self.degree()
-        return max(deg.values()) if deg else 0
-
     def timeline(self) -> list[tuple[str, object]]:
         """Events in execution order: unanchored gates first, then each
         measurement followed by the gates anchored after it."""
-        events: list[tuple[str, object]] = [
-            ("gate", g) for g in self.gates if g.after_measurement is None]
+        events: list[tuple[str, object]] = []
+        anchored: dict[int, list] = {}
+        for g in self.gates:
+            if g.after_measurement is None:
+                events.append(("gate", g))
+            else:
+                anchored.setdefault(g.after_measurement, []).append(("gate", g))
         for k, mstep in enumerate(self.schedule):
             events.append(("measure", mstep))
-            events.extend(("gate", g) for g in self.gates
-                          if g.after_measurement == k)
+            events.extend(anchored.get(k, ()))
         return events
 
     def validate(self):

@@ -6,33 +6,30 @@ gate, and Born-rule outcomes per measurement.  Every decomposition is the
 closed form of `decompose`, exact to 1e-12 in the Pauli coefficients, so the
 sampled outcome distribution matches the quantum one up to shot noise.
 
-The radius ledger supplies each gate's input and output radii.  A branch
-vector entering a gate is fixed by its ledger radius, its z (-1, 0 or +1)
-and its azimuth, and diagonal gates commute with local Z-rotations, so each
-gate step tabulates at most nine decompositions, one per input z pair at
-azimuth 0, on first use; a sample picks a term and Z-rotates each side by
-its own input vector's azimuth.
+All samples advance through the timeline together, as arrays: each node
+holds a complex xy row and an int8 z row with one entry per sample.  The
+radius ledger supplies each gate's input and output radii.  A branch vector
+entering a gate is fixed by its ledger radius, its z (-1, 0 or +1) and its
+azimuth, and diagonal gates commute with local Z-rotations, so a gate step
+decomposes once per input z pair present (at most nine) at azimuth 0; each
+sample picks a term and Z-rotates each side by its own input's azimuth.
 
-Randomness is counter-based: sample k uses a Philox stream keyed by
-(seed, k), so results are reproducible for a fixed seed under any degree of
-parallel or out-of-order evaluation.
+Randomness is counter-based: step k (the initial split of the k-th node,
+then the timeline's events) draws one uniform per sample from the Philox
+stream keyed by the seed at counter k.  Sample j's draws depend only on
+(seed, step, j), so a shorter run with the same seed reproduces a prefix of
+a longer one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import decompose
-from .bloch import (
-    ZERO_RADIUS,
-    BlochVector,
-    measure_prob,
-    post_measurement_state,
-    radius,
-    z_rotate,
-)
+from .bloch import ZERO_RADIUS, BlochVector, measure_prob
 from .decompose import DecompositionRequest
 from .experiment import ExperimentSpec, radius_ledger, resolve_measure_angle
 from .growth import fold_phase
@@ -55,10 +52,6 @@ class SampleRun:
     max_radius_slack: float = 0.0  # largest |branch radius - ledger radius|
     counts: dict[str, int] = field(default_factory=dict)
 
-    def histogram(self) -> dict[str, float]:
-        n = len(self.outcomes)
-        return {k: v / n for k, v in sorted(self.counts.items())}
-
 
 def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> SampleRun:
     """Sample the experiment's outcome strings (schedule order, '+'/'-').
@@ -71,68 +64,55 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
     if not ledger.simulable:
         raise decompose.InfeasibleRequest(
             f"experiment infeasible at ledger step {ledger.infeasible_step}")
+    n, seed = spec.sampler.num_samples, spec.sampler.seed
 
-    settings = spec.sampler
+    def uniform(step):
+        return np.random.Generator(
+            np.random.Philox(key=seed, counter=[0, 0, 0, step])).random(n)
 
-    # each timeline step with its ledger row; a gate step also carries its
-    # class (coherent or fast path) and its table of (weights, terms) by
-    # input z pair, filled on first use
-    plan = []
-    for (kind, payload), row in zip(spec.timeline(), ledger.trace):
-        coherent = kind == "gate" and min(row.inputs) > ZERO_RADIUS and \
-            fold_phase(payload.phi) != 0.0
-        plan.append((kind, payload, row, coherent, {}))
-
-    # initial extremal splits are shared by all samples
-    init = {}
-    for node in spec.node_ids():
+    nodes = spec.node_ids()
+    xy, z = {}, {}
+    for step, node in enumerate(nodes):
         v = spec.inputs[node].bloch()
-        p_up = (1.0 + v.z) / 2.0
-        init[node] = (p_up, v.x, v.y)
+        xy[node] = np.full(n, complex(v.x, v.y))
+        z[node] = np.where(uniform(step) < (1.0 + v.z) / 2.0, 1, -1).astype(np.int8)
 
     run = SampleRun(outcomes=[])
-    for k in range(settings.num_samples):
-        rng = np.random.Generator(np.random.Philox(key=settings.seed,
-                                                   counter=[0, 0, 0, k]))
-        run.outcomes.append(_one_branch(plan, init, rng, run, check_invariants))
-    for s in run.outcomes:
-        run.counts[s] = run.counts.get(s, 0) + 1
-    return run
-
-
-def _one_branch(plan, init, rng, run, check_invariants):
-    vectors: dict[int, BlochVector] = {}
-    for node, (p_up, x, y) in init.items():
-        up = rng.random() < p_up
-        vectors[node] = BlochVector(x, y, 1.0 if up else -1.0)
-    outcome_by_node: dict[int, int] = {}
-    chars = []
-
-    for kind, payload, row, coherent, table in plan:
+    signs = {}  # measured node -> +-1 outcome row
+    chars = np.empty((n, len(spec.schedule)), dtype=np.uint8)
+    timeline = zip(spec.timeline(), ledger.trace)
+    for step, ((kind, payload), row) in enumerate(timeline, start=len(nodes)):
+        u = uniform(step)
         if kind == "gate":
             a, b = payload.edge
-            v_a, v_b = vectors[a], vectors[b]
+            r_a, r_b = row.inputs
             out_a, out_b = row.radii[a], row.radii[b]
-            key = v_a.z, v_b.z
-            entry = table.get(key)
-            if entry is None:
-                r_a, r_b = row.inputs
+            code = (z[a] + 1) * 3 + (z[b] + 1)
+            new_xy = {a: np.empty(n, complex), b: np.empty(n, complex)}
+            new_z = {a: np.empty(n, np.int8), b: np.empty(n, np.int8)}
+            for c in np.unique(code):
+                z_a, z_b = divmod(int(c), 3)
                 terms = decompose.decompose_gate_output(DecompositionRequest(
-                    BlochVector(r_a, 0.0, v_a.z), BlochVector(r_b, 0.0, v_b.z),
+                    BlochVector(r_a, 0.0, z_a - 1), BlochVector(r_b, 0.0, z_b - 1),
                     payload.phi, out_a, out_b))
-                entry = table[key] = (
-                    np.array([t.weight for t in terms]), terms)
-            weights, terms = entry
-            term = terms[_pick(rng, weights)]
-            vectors[a] = z_rotate(term.omega_a, v_a.azimuth())
-            vectors[b] = z_rotate(term.omega_b, v_b.azimuth())
-            if coherent:
-                run.canonical_decompositions += 1
+                cum = np.cumsum([t.weight for t in terms])
+                sel = code == c
+                pick = np.minimum(np.searchsorted(cum, u[sel] * cum[-1], side="right"),
+                                  len(terms) - 1)
+                for node, omegas in ((a, [t.omega_a for t in terms]),
+                                     (b, [t.omega_b for t in terms])):
+                    term_xy = np.array([complex(w.x, w.y) for w in omegas])
+                    new_xy[node][sel] = term_xy[pick] * _phase(xy[node][sel])
+                    new_z[node][sel] = np.array([w.z for w in omegas])[pick]
+            xy.update(new_xy)
+            z.update(new_z)
+            if min(row.inputs) > ZERO_RADIUS and fold_phase(payload.phi) != 0.0:
+                run.canonical_decompositions += n
             else:
-                run.fast_path_hits += 1
+                run.fast_path_hits += n
             if check_invariants:
                 for node, bound in ((a, out_a), (b, out_b)):
-                    slack = abs(radius(vectors[node]) - bound)
+                    slack = float(np.max(np.abs(np.abs(xy[node]) - bound)))
                     run.max_radius_slack = max(run.max_radius_slack, slack)
                     if slack > 1e-9:
                         raise AssertionError(
@@ -140,32 +120,35 @@ def _one_branch(plan, init, rng, run, check_invariants):
                             "ledger radius")
         else:
             node = payload.node
-            omega = resolve_measure_angle(payload, outcome_by_node)
-            mspec = payload.spec if payload.adaptive is None else \
-                replace(payload.spec, omega=omega)
-            probs = measure_prob(vectors[node], mspec)
+            mspec = replace(payload.spec, omega=resolve_measure_angle(payload, signs))
+            probs = measure_prob(BlochVector(xy[node].real, xy[node].imag, z[node]),
+                                 mspec)
             if probs.negative:
                 raise NegativeBranchProbability(
-                    f"negative branch probability p = ({probs.p_plus}, "
-                    f"{probs.p_minus}) at node {node}")
+                    "negative branch probability min p = "
+                    f"{np.min(np.minimum(probs.p_plus, probs.p_minus))} at node {node}")
             # below the flag threshold p may leave [0,1] by ~1e-16; the raw
             # comparison already handles that without clamping
-            outcome = +1 if rng.random() < probs.p_plus else -1
-            outcome_by_node[node] = outcome
-            chars.append("+" if outcome > 0 else "-")
-            vectors[node] = post_measurement_state(mspec, outcome)
-    return "".join(chars)
+            plus = u < probs.p_plus
+            chars[:, len(signs)] = np.where(plus, ord("+"), ord("-"))
+            signs[node] = np.where(plus, 1, -1).astype(np.int8)
+            # total Z-dephasing: a Z outcome keeps its pole, XY leaves z = 0
+            z[node] = signs[node] if mspec.kind == "Z" else np.zeros(n, np.int8)
+            xy[node] = np.zeros(n, complex)
+
+    # each row of '+'/'-' bytes read as one string
+    run.outcomes = chars.view(f"S{chars.shape[1]}")[:, 0].astype(str).tolist() \
+        if chars.shape[1] else [""] * n
+    run.counts = dict(Counter(run.outcomes))
+    return run
 
 
-def _pick(rng, weights) -> int:
-    total = weights.sum()
-    u = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
+def _phase(xy):
+    """xy / |xy| elementwise, and 1 (azimuth 0) at radii <= ZERO_RADIUS:
+    a gate's terms keep such a side's xy part at most that small."""
+    r = np.abs(xy)
+    coherent = r > ZERO_RADIUS
+    return np.where(coherent, xy / np.where(coherent, r, 1.0), 1.0)
 
 
 def empirical_tv(samples, exact: dict[str, float]) -> float:

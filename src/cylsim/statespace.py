@@ -29,10 +29,6 @@ from .growth import lambda_phi
 _PROFILE_TOL = 1e-12
 
 
-class PreconditionNotMet(ValueError):
-    """The cylinder-optimality statement is silent on this space."""
-
-
 @dataclass(frozen=True)
 class SymmetricStateSpace:
     """Concave piecewise-linear radial profile: ordered (z, radius) breakpoints.

@@ -308,11 +308,20 @@ def _without(key, *path):
     lambda s: s["gates"][0].update(after_measurement=1.0),
     lambda s: s["gates"][0].update(after_measurement=True),
     lambda s: s["gates"][0].update(after_measurement="0"),
+    lambda s: s["schedule"][0].update(node=0.5),
+    lambda s: s.update(graph=[[0, 1.5]]),
+    lambda s: s["gates"][0].update(edge=[0, 1.5]),
+    lambda s: s["schedule"][1].update(
+        adaptive={"nodes": [0.5], "angles": [0.3, 0.6]}),
+    lambda s: s["sampler"].update(seed=1.7),
+    lambda s: s["sampler"].update(num_samples=2.5),
 ], ids=["theta-nan", "theta-inf", "azimuth", "shrink", "phi", "omega",
         "adaptive-angle", "alpha", "time", "nn-phase", "no-samples",
         "empty-object", "array", "no-theta", "no-kind", "short-edge",
         "null-seed", "infinite-samples", "powerlaw-key", "anchor-fraction",
-        "anchor-float", "anchor-bool", "anchor-string"])
+        "anchor-float", "anchor-bool", "anchor-string", "node-fraction",
+        "graph-edge-fraction", "gate-edge-fraction", "adaptive-node-fraction",
+        "seed-fraction", "samples-fraction"])
 def test_malformed_spec_rejected(capsys, tmp_path, command, patch):
     spec = _pair_spec()
     replaced = patch(spec)

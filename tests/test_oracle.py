@@ -315,6 +315,13 @@ def test_exact_distribution_matches_kronecker_reference():
     reused = pruned = 0
     for _ in range(300):
         spec = _random_spec(rng)
+        # the timeline buckets anchored gates in one pass, in the order of a
+        # rescan of all gates after each schedule entry
+        assert spec.timeline() == [("gate", g) for g in spec.gates
+                                   if g.after_measurement is None] + [
+            event for k, m in enumerate(spec.schedule) for event in
+            [("measure", m)] + [("gate", g) for g in spec.gates
+                                if g.after_measurement == k]]
         for prune in (1e-15, 1e-2):  # the default, and one that cuts real mass
             fast = exact_distribution(spec, prune)
             slow = _kron_reference(spec, prune)

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from cylsim import decompose
-from cylsim.bloch import MeasurementSpec
-from cylsim.decompose import InfeasibleRequest
+from cylsim.bloch import (
+    BlochVector,
+    MeasurementSpec,
+    measure_prob,
+    post_measurement_state,
+    z_rotate,
+)
+from cylsim.decompose import DecompositionRequest, InfeasibleRequest
 from cylsim.experiment import (
     AdaptiveRule,
     ExperimentSpec,
@@ -13,6 +19,8 @@ from cylsim.experiment import (
     MeasureStep,
     NodeInput,
     SamplerSettings,
+    radius_ledger,
+    resolve_measure_angle,
 )
 from cylsim.oracle import exact_distribution
 from cylsim.sampler import AlphabetMismatch, empirical_tv, run_branches
@@ -65,6 +73,100 @@ def test_determinism_and_counter_based_streams():
     spec.sampler = SamplerSettings(num_samples=500, seed=43)
     run3 = run_branches(spec)
     assert run1.outcomes != run3.outcomes
+
+
+def _adaptive_reuse_spec(samples, seed=41):
+    """3-node CZ chain, quasi-destructive XY measurements with two adaptive
+    rules, and a gate anchored after the first measurement (fast path on a
+    dephased node)."""
+    theta = math.radians(10)
+    qd = "quasi-destructive"
+    return ExperimentSpec(
+        edges=[(0, 1), (1, 2)],
+        inputs={i: NodeInput(theta) for i in range(3)},
+        gates=[GateStep((0, 1), math.pi), GateStep((1, 2), math.pi),
+               GateStep((0, 1), math.pi, after_measurement=0)],
+        schedule=[MeasureStep(0, MeasurementSpec("XY", 0.0, qd)),
+                  MeasureStep(1, MeasurementSpec("XY", 0.0, qd),
+                              AdaptiveRule((0,), (0.0, math.pi / 2))),
+                  MeasureStep(2, MeasurementSpec("XY", 0.0, qd),
+                              AdaptiveRule((0, 1), (0.3, 1.9)))],
+        sampler=SamplerSettings(num_samples=samples, seed=seed),
+    )
+
+
+def test_short_run_is_a_prefix_of_a_long_one():
+    # step k draws one uniform per sample from the Philox stream at counter
+    # k, so sample j depends only on (seed, step, j): a 7-sample run repeats
+    # the first 7 outcomes of a 2000-sample run with the same seed
+    long_run = run_branches(_adaptive_reuse_spec(2000), check_invariants=True)
+    assert len(long_run.counts) == 8
+    assert run_branches(_adaptive_reuse_spec(7)).outcomes == long_run.outcomes[:7]
+
+
+def _per_sample_reference(spec):
+    """Reference walk, one sample at a time on the same uniforms (sample j
+    takes entry j of each step's vector): BlochVector state, a fresh
+    decomposition per gate and a linear scan for the term."""
+    ledger = radius_ledger(spec)
+    n, nodes = spec.sampler.num_samples, spec.node_ids()
+    timeline = list(zip(spec.timeline(), ledger.trace))
+    draws = [np.random.Generator(np.random.Philox(
+        key=spec.sampler.seed, counter=[0, 0, 0, k])).random(n)
+        for k in range(len(nodes) + len(timeline))]
+    outcomes = []
+    for j in range(n):
+        vectors = {}
+        for k, node in enumerate(nodes):
+            v = spec.inputs[node].bloch()
+            up = draws[k][j] < (1.0 + v.z) / 2.0
+            vectors[node] = BlochVector(v.x, v.y, 1.0 if up else -1.0)
+        record, chars = {}, ""
+        for k, ((kind, payload), row) in enumerate(timeline, start=len(nodes)):
+            u = draws[k][j]
+            if kind == "gate":
+                a, b = payload.edge
+                v_a, v_b = vectors[a], vectors[b]
+                terms = decompose.decompose_gate_output(DecompositionRequest(
+                    BlochVector(row.inputs[0], 0.0, v_a.z),
+                    BlochVector(row.inputs[1], 0.0, v_b.z),
+                    payload.phi, row.radii[a], row.radii[b]))
+                total, acc, term = sum(t.weight for t in terms), 0.0, terms[-1]
+                for t in terms:
+                    acc += t.weight
+                    if u * total < acc:
+                        term = t
+                        break
+                vectors[a] = z_rotate(term.omega_a, v_a.azimuth())
+                vectors[b] = z_rotate(term.omega_b, v_b.azimuth())
+            else:
+                m = MeasurementSpec(payload.spec.kind,
+                                    resolve_measure_angle(payload, record),
+                                    payload.spec.mode)
+                outcome = +1 if u < measure_prob(vectors[payload.node], m).p_plus else -1
+                record[payload.node] = outcome
+                chars += "+" if outcome > 0 else "-"
+                vectors[payload.node] = post_measurement_state(m, outcome)
+        outcomes.append(chars)
+    return outcomes
+
+
+@pytest.mark.parametrize("spec", [
+    _adaptive_reuse_spec(400),
+    ExperimentSpec(  # a zero-radius input, Z measurements and a shrunk input
+        edges=[(0, 1), (1, 2)],
+        inputs={0: NodeInput(math.pi), 1: NodeInput(0.2, shrink=0.8),
+                2: NodeInput(0.3, azimuth=1.1)},
+        gates=[GateStep((0, 1), math.pi), GateStep((1, 2), 2.0),
+               GateStep((1, 2), 0.0), GateStep((1, 2), 1.3, after_measurement=0)],
+        schedule=[MeasureStep(1, MeasurementSpec("Z", 0.0, "quasi-destructive")),
+                  MeasureStep(0, MeasurementSpec("XY", 0.4)),
+                  MeasureStep(2, MeasurementSpec("XY", 2.5),
+                              AdaptiveRule((1,), (0.1, 0.9)))],
+        sampler=SamplerSettings(num_samples=400, seed=8)),
+], ids=["adaptive-reuse", "zero-radius-z-shrink"])
+def test_array_walk_matches_per_sample_reference(spec):
+    assert run_branches(spec).outcomes == _per_sample_reference(spec)
 
 
 def test_fast_path_after_measurement():

@@ -24,3 +24,17 @@ def test_bench_oracle_runs_on_a_tiny_config(tmp_path):
     assert tiny["cases"]["grid2x4"]["outcomes"] == 256
     assert {"numpy", "scipy", "python"} <= set(tiny["versions"])
     assert tiny["blas_threads"] == 1
+
+
+def test_bench_sampler_runs_on_a_tiny_config(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_sampler.py"),
+                    "--label", "tiny", "--chain", "20", "--grid", "30",
+                    "--repeats", "2", "--output", str(out)],
+                   check=True, capture_output=True, timeout=120)
+    tiny = json.loads(out.read_text())["tiny"]
+    assert set(tiny["cases"]) == {"chain5-20", "grid2x5-30"}
+    for case in tiny["cases"].values():
+        assert len(case["runs_s"]) == 2 and case["us_per_sample"] > 0
+    assert tiny["cases"]["grid2x5-30"]["qubits"] == 10
+    assert {"numpy", "scipy", "python"} <= set(tiny["versions"])
