@@ -34,7 +34,6 @@ from .decompose import (
     DecompositionTerm,
     decompose_gate_output,
     hull_membership,
-    min_output_radius,
     reduced_determinant,
 )
 from .experiment import ExperimentSpec, NodeInput, radius_ledger
@@ -55,6 +54,7 @@ from .statespace import (
     cylinder,
     lemma8_audit,
     max_input_radius_bspace,
+    min_output_radius,
     r_star,
     symmetrize,
 )

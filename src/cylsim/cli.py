@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import __version__
-from .decompose import EXACT_TOL, InfeasibleRequest, NoUpperBracket, SolverFailure
+from .decompose import EXACT_TOL, InfeasibleRequest, SolverFailure
 from .experiment import ExperimentSpec
 from .growth import (
     GrowthQuery,
@@ -41,6 +41,7 @@ from .matter import (
 from .oracle import exact_distribution
 from .sampler import NegativeBranchProbability, empirical_tv, run_branches
 from .statespace import (
+    NoUpperBracket,
     bspace_search_rows,
     cylinder_max_input_radius,
     max_input_radius_bspace,

@@ -4,13 +4,16 @@ Gate outputs on extremal inputs: split the output at azimuth 0 in closed form
 into at most four extremal product terms on each input's own z circle, at
 the given phase, exact to 1e-12 in the Pauli coefficients, and Z-rotate each
 side's terms by its input's azimuth (diagonal gates commute with local
-Z-rotations).  General state spaces: an LP for nonnegative weights over
-discretized extremal circles, minimising the worst-case coefficient
-residual, so infeasibility is reported quantitatively.  Candidate points are
-always true extremal points of the target cylinders, so the discretized hull
-under-approximates the exact one and feasibility claims are conservative.  An
-adaptive azimuth refinement (repeated halving around the active support)
-recovers boundary cases that a uniform grid alone misses.
+Z-rotations).  General state spaces: one LP core, `solve_lp`, for
+nonnegative weights over candidate extremal points, minimising the
+worst-case coefficient residual, so infeasibility is reported
+quantitatively; a side whose target sits at its highest or lowest candidate
+z keeps only that z's candidates.  Candidate points are always true extremal
+points of the target spaces, so the discretized hull under-approximates the
+exact one and feasibility claims are conservative.  An adaptive azimuth
+refinement (repeated halving around the active support) recovers boundary
+cases that a uniform grid alone misses.  The radius searches built on these
+decompositions live in `statespace`.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ class InfeasibleRequest(ValueError):
 
 class NonExtremalInput(ValueError):
     """The closed form needs extremal inputs (z = +-1) on coherent gates."""
-
-
-class NoUpperBracket(RuntimeError):
-    """No feasible radius found below the bracket cap."""
 
 
 def reduced_determinant(f_a: float, f_b: float, phi: float) -> float:
@@ -195,24 +194,50 @@ def _candidates(circles, azimuths_per_circle):
     return np.array(pts), np.array(owner), np.array(azs)
 
 
-def solve_lp(pts_a, pts_b, target16, row_mask=None):
+def _pole_rule(z_row, i_row, zs):
+    """Candidates a side keeps, and whether its Z rows drop out.  When the
+    target's Z row equals z times its I row (to 1e-12) for z the side's
+    highest or lowest candidate z, every exact decomposition puts all its
+    weight at that z: the I(x)I row fixes the total weight and the Z(x)I row
+    the mean z, which only that z reaches.  Then only those candidates stay,
+    and the side's Z rows drop out, being z times its I rows."""
+    for z in (zs.max(), zs.min()):
+        if np.max(np.abs(z_row - z * i_row)) < 1e-12:
+            return np.flatnonzero(zs == z), True
+    return np.arange(len(zs)), False
+
+
+def solve_lp(pts_a, pts_b, target16):
     """Min-residual LP: nonnegative weights over product candidates whose
     Pauli coefficients match the target within the smallest possible L-inf
-    residual.  Returns (residual, weights).  A row mask may drop constraint
-    rows that are forced duplicates of others; callers must re-check the
-    full residual on whatever they keep.
+    residual.  Returns (residual, weights), one weight per (a, b) pair in
+    row-major order.
+
+    A side whose target Z row pins it to a pole (`_pole_rule`) keeps only
+    that pole's candidates and drops its Z rows, which quarters the LP for
+    gate outputs on pole inputs; the dropped rows then match to within the
+    kept residual plus 1e-12.  Whether the target decomposes never changes.
+    Nor does the residual of one that does not, when every off-pole
+    candidate has a pole twin with the same x and y (cylinder circles);
+    over other candidate sets it can come out above the all-column minimum.
 
     Column generation: from about _CG_START strided columns, each round adds
     the _CG_BATCH columns of most negative reduced cost until none is below
     -_CG_PRICE_TOL.  Weights sum to one and duals have L1 norm <= 1, so the
     objective is within _CG_PRICE_TOL of the LP over all columns."""
-    ca = np.column_stack([np.ones(len(pts_a)), pts_a])
-    cb = np.column_stack([np.ones(len(pts_b)), pts_b])
-    A = np.einsum("ia,jb->abij", ca, cb).reshape(16, -1)
-    b = target16
-    if row_mask is not None:
-        A = A[row_mask]
-        b = target16[row_mask]
+    m = target16.reshape(4, 4)
+    keep_a, pin_a = _pole_rule(m[3, :], m[0, :], pts_a[:, 2])
+    keep_b, pin_b = _pole_rule(m[:, 3], m[:, 0], pts_b[:, 2])
+    rows = np.ones((4, 4), dtype=bool)
+    if pin_a:
+        rows[3, :] = False
+    if pin_b:
+        rows[:, 3] = False
+    rows = rows.reshape(16)
+    ca = np.column_stack([np.ones(len(keep_a)), pts_a[keep_a]])
+    cb = np.column_stack([np.ones(len(keep_b)), pts_b[keep_b]])
+    A = np.einsum("ia,jb->abij", ca, cb).reshape(16, -1)[rows]
+    b = target16[rows]
     nrows, ncols = A.shape
     ones = np.ones((nrows, 1))
     b_ub = np.concatenate([b, -b])
@@ -234,30 +259,11 @@ def solve_lp(pts_a, pts_b, target16, row_mask=None):
         if len(new) == 0:
             break
         cols = np.concatenate([cols, new])
-    weights = np.zeros(ncols)
-    weights[cols] = res.x[:-1]
-    return res.fun, weights
-
-
-def _duplicate_row_mask(target16, circles_a, circles_b):
-    """Rows made redundant by a shared z value on a side: if every candidate
-    on side A has z = z_a, row Z(x)sigma_j of any reconstruction equals z_a
-    times row I(x)sigma_j.  The Z rows are dropped only when the target
-    satisfies the same relation (to 1e-12); otherwise all rows stay and the
-    LP reports the structural mismatch itself."""
-    m = target16.reshape(4, 4)
-    mask = np.ones(16, dtype=bool)
-    zs_a = {z for z, _r in circles_a}
-    if len(zs_a) == 1:
-        z_a = next(iter(zs_a))
-        if np.max(np.abs(m[3, :] - z_a * m[0, :])) < 1e-12:
-            mask[12:16] = False
-    zs_b = {z for z, _r in circles_b}
-    if len(zs_b) == 1:
-        z_b = next(iter(zs_b))
-        if np.max(np.abs(m[:, 3] - z_b * m[:, 0])) < 1e-12:
-            mask[3::4] = False
-    return mask if not mask.all() else None
+    kept = np.zeros(ncols)
+    kept[cols] = res.x[:-1]
+    weights = np.zeros((len(pts_a), len(pts_b)))
+    weights[np.ix_(keep_a, keep_b)] = kept.reshape(len(keep_a), len(keep_b))
+    return res.fun, weights.reshape(-1)
 
 
 def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
@@ -272,12 +278,11 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
     az_b = [base.copy() for _ in circles_b]
     half_step = math.pi / n
 
-    row_mask = _duplicate_row_mask(target16, circles_a, circles_b)
     best = None
     for round_idx in range(refine_rounds + 1):
         pts_a, own_a, azs_a = _candidates(circles_a, az_a)
         pts_b, own_b, azs_b = _candidates(circles_b, az_b)
-        _lp_residual, w = solve_lp(pts_a, pts_b, target16, row_mask)
+        _lp_residual, w = solve_lp(pts_a, pts_b, target16)
         support = np.nonzero(w > _WEIGHT_EPS)[0]
         w_s = w[support]
         pa_s = pts_a[support // len(pts_b)]
@@ -296,16 +301,13 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
         # rebuild each side as base grid + support + halved-step neighbours;
         # dropping stale refinement columns is safe because the current
         # support stays in, so the residual cannot regress
-        ia = np.unique(support // len(pts_b))
-        ib = np.unique(support % len(pts_b))
-        for k in range(len(circles_a)):
-            sel = azs_a[ia[own_a[ia] == k]]
-            az_a[k] = np.unique(np.concatenate(
-                [base, sel, sel - half_step, sel + half_step]))
-        for k in range(len(circles_b)):
-            sel = azs_b[ib[own_b[ib] == k]]
-            az_b[k] = np.unique(np.concatenate(
-                [base, sel, sel - half_step, sel + half_step]))
+        for az, own, azs, idx in ((az_a, own_a, azs_a, support // len(pts_b)),
+                                  (az_b, own_b, azs_b, support % len(pts_b))):
+            idx = np.unique(idx)
+            for k in range(len(az)):
+                sel = azs[idx[own[idx] == k]]
+                az[k] = np.unique(np.concatenate(
+                    [base, sel, sel - half_step, sel + half_step]))
         half_step /= 2.0
     return best
 
@@ -321,25 +323,11 @@ def hull_membership(target: PauliCoeffMatrix, r_a: float, r_b: float,
                     n: int = 40, tol: float = 1e-7, refine_rounds: int = 6):
     """LP convex-hull membership of a normalised two-particle operator in the
     separable hull over Cyl(r_a) x Cyl(r_b) extrema discretized at N azimuths
-    per circle.
-
-    Returns (feasible, terms, residual).  When the target's Z-marginal pins a
-    side to one pole (rows/cols for Z duplicate those for I), the candidate
-    set is restricted to that circle; the restriction is forced by the
-    constraints and quarters the LP."""
+    per circle.  Returns (feasible, terms, residual)."""
     m = target.m if isinstance(target, PauliCoeffMatrix) else np.asarray(target)
-    circles_a = [(-1.0, r_a), (1.0, r_a)]
-    circles_b = [(-1.0, r_b), (1.0, r_b)]
-    if np.allclose(m[3, :], m[0, :], atol=1e-12):
-        circles_a = [(1.0, r_a)]
-    elif np.allclose(m[3, :], -m[0, :], atol=1e-12):
-        circles_a = [(-1.0, r_a)]
-    if np.allclose(m[:, 3], m[:, 0], atol=1e-12):
-        circles_b = [(1.0, r_b)]
-    elif np.allclose(m[:, 3], -m[:, 0], atol=1e-12):
-        circles_b = [(-1.0, r_b)]
     residual, w, pts_a, pts_b = decompose_over_circles(
-        m, circles_a, circles_b, n, tol, refine_rounds)
+        m, [(-1.0, r_a), (1.0, r_a)], [(-1.0, r_b), (1.0, r_b)], n, tol,
+        refine_rounds)
     return residual <= tol, _terms_from_arrays(w, pts_a, pts_b), residual
 
 
@@ -412,51 +400,3 @@ def reconstruct(terms) -> PauliCoeffMatrix:
     for t in terms:
         m += t.weight * np.outer(t.omega_a.coeffs(), t.omega_b.coeffs())
     return PauliCoeffMatrix(m)
-
-
-def bisect_bracket(upper, lo, hi, tol):
-    """Halve [lo, hi] to width tol, moving hi to midpoints where the monotone
-    predicate `upper` holds and lo to the others.  Returns (lo, hi)."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if upper(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def bisect_min_radius(feasible, tol, hi_start=1.0, hi_max=64.0):
-    """Smallest radius accepted by a monotone feasibility predicate, by
-    doubling to find an upper bracket and then bisecting.  Returns the
-    feasible endpoint of the final bracket."""
-    lo, hi = 0.0, max(hi_start, tol)
-    while not feasible(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > hi_max:
-            raise NoUpperBracket(f"infeasible at radius {hi_max}")
-    return bisect_bracket(feasible, lo, hi, tol)[1]
-
-
-def min_output_radius(space_a, space_b, phi: float, tol: float = 1e-3,
-                      n: int = 40, lp_tol: float = 1e-7) -> float:
-    """Smallest cylinder radius R such that the gate output on every pair of
-    extremal circles of the two spaces is separable over Cyl(R) x Cyl(R).
-
-    Spaces are anything exposing `breakpoints` as (z, radius) pairs; input
-    azimuths are fixed to 0, which loses nothing by Z-rotation symmetry."""
-    targets = []
-    for z_a, rad_a in space_a.breakpoints:
-        for z_b, rad_b in space_b.breakpoints:
-            targets.append(apply_gate_pauli(
-                phi, BlochVector(rad_a, 0.0, z_a), BlochVector(rad_b, 0.0, z_b)))
-
-    def feasible(r):
-        return all(
-            hull_membership(t, r, r, n=n, tol=lp_tol, refine_rounds=2)[0]
-            for t in targets)
-
-    hi_start = max(max(rad for _, rad in space_a.breakpoints),
-                   max(rad for _, rad in space_b.breakpoints), 1e-6)
-    return bisect_min_radius(feasible, tol, hi_start=hi_start)

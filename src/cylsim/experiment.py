@@ -158,6 +158,8 @@ class SamplerSettings:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and > 0, not {self.tolerance!r}")
 
     def to_json(self) -> dict:
         return {"num_samples": self.num_samples, "seed": self.seed,
@@ -167,7 +169,7 @@ class SamplerSettings:
     def from_json(cls, data: dict) -> "SamplerSettings":
         return cls(_integer(data.get("num_samples", 10000), "num_samples"),
                    _integer(data.get("seed", 0), "seed"),
-                   int(data.get("discretization", 40)),
+                   _integer(data.get("discretization", 40), "discretization"),
                    float(data.get("tolerance", 1e-7)))
 
 
@@ -272,7 +274,11 @@ class ExperimentSpec:
         inputs = {int(k): NodeInput.from_json(v) for k, v in data["inputs"].items()}
         gates_field = data.get("gates", [])
         if isinstance(gates_field, dict) and "powerlaw" in gates_field:
-            spec = PowerLawSpec(**gates_field["powerlaw"])
+            params = dict(gates_field["powerlaw"])
+            for key in ("dim", "cutoff"):
+                if key in params:
+                    params[key] = _integer(params[key], f"powerlaw {key}")
+            spec = PowerLawSpec(**params)
             edges, gates = powerlaw_chain_gates(sorted(inputs), spec)
         else:
             gates = [GateStep.from_json(g) for g in gates_field]
@@ -315,8 +321,9 @@ def powerlaw_chain_gates(nodes: list[int], spec: PowerLawSpec):
 class LedgerRow:
     step: int
     kind: str  # "gate" | "measure"
-    detail: str
-    radii: dict[int, float]  # every node's radius after the step
+    # the step's own nodes: a gate's endpoints after it, or the measured node
+    # at its measurement
+    radii: dict[int, float]
     inputs: tuple[float, float] | None = None  # a gate's endpoint radii before it
 
 
@@ -338,9 +345,10 @@ def radius_ledger(spec: ExperimentSpec) -> LedgerResult:
     A gate grows both endpoints by lambda(phi) when both radii exceed
     ZERO_RADIUS; otherwise it is a controlled Z-rotation and grows nothing.
     Each gate row records its endpoints' radii before the gate (`inputs`) and
-    every radius after it (`radii`), which is all the sampler needs.  A
-    measured node's radius is checked (<= 1) at its measurement time, after
-    which it drops to 0.
+    after it (`radii`), which is all the sampler needs; rows hold no other
+    node, so the trace is O(gates + measurements).  A measured node's radius
+    is checked (<= 1) at its measurement time, recorded in its row, and then
+    drops to 0.
     """
     radii = {node: spec.inputs[node].radius() for node in spec.node_ids()}
     trace: list[LedgerRow] = []
@@ -353,13 +361,12 @@ def radius_ledger(spec: ExperimentSpec) -> LedgerResult:
                 lam = lambda_phi(payload.phi)
                 radii[a] *= lam
                 radii[b] *= lam
-            trace.append(LedgerRow(step, "gate",
-                                   f"{payload.edge} phi={payload.phi:.6g}",
-                                   dict(radii), inputs))
+            trace.append(LedgerRow(step, "gate", {a: radii[a], b: radii[b]},
+                                   inputs))
         else:
             node = payload.node
             ok = radii[node] <= 1.0 + LEDGER_SLACK
-            trace.append(LedgerRow(step, "measure", f"node {node}", dict(radii)))
+            trace.append(LedgerRow(step, "measure", {node: radii[node]}))
             if not ok and verdict == "simulable":
                 verdict, bad_step = "infeasible", step
             radii[node] = 0.0

@@ -1,4 +1,5 @@
-"""Alternative Z-symmetric state spaces and their growth figure of merit.
+"""Alternative Z-symmetric state spaces, their growth figure of merit, and
+every LP radius search.
 
 A space is a convex body of revolution about the z axis, stored as a concave
 piecewise-linear radial profile r(z).  The figure of merit R* is the minimal
@@ -6,6 +7,12 @@ uniform phasing growth such that the gate output on a product of two spaces
 lands in the convex hull of the grown product spaces; cylinders are optimal
 within the family that touches z = +-1 off-axis, but spindle-like B(r, h)
 spaces beat them slightly as input spaces, which this module reproduces.
+
+The searches (`r_star`, `min_output_radius`, `max_input_radius_bspace`)
+bisect on a radius.  Each builds its gate-output targets from the extremal
+input pairs (`_gate_targets`) and asks one fit test (`_fits`) of the LP in
+`decompose`: `r_star` phases the target, the others fit it over cylinder
+circles at the probed radius.
 """
 
 from __future__ import annotations
@@ -16,17 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochVector, apply_gate_pauli, radius
-from .decompose import (
-    bisect_bracket,
-    bisect_min_radius,
-    decompose_over_circles,
-    hull_membership,
-    min_output_radius,
-    solve_lp,
-)
+from .decompose import decompose_over_circles, solve_lp
 from .growth import lambda_phi
 
 _PROFILE_TOL = 1e-12
+# B-space CSV rows: azimuths per circle and bisection width of each row's
+# minimal output radius.
+_ROW_RADIUS_N = 24
+_ROW_RADIUS_TOL = 1e-3
+
+
+class NoUpperBracket(RuntimeError):
+    """No feasible radius found below the bracket cap."""
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,49 @@ def profile_hull(a: SymmetricStateSpace, b: SymmetricStateSpace) -> SymmetricSta
     return symmetrize(pts)
 
 
+def bisect_bracket(upper, lo, hi, tol):
+    """Halve [lo, hi] to width tol, moving hi to midpoints where the monotone
+    predicate `upper` holds and lo to the others.  Returns (lo, hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if upper(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def bisect_min_radius(feasible, tol, hi_start=1.0, hi_max=64.0):
+    """Smallest radius accepted by a monotone feasibility predicate, by
+    doubling to find an upper bracket and then bisecting.  Returns the
+    feasible endpoint of the final bracket."""
+    lo, hi = 0.0, max(hi_start, tol)
+    while not feasible(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > hi_max:
+            raise NoUpperBracket(f"infeasible at radius {hi_max}")
+    return bisect_bracket(feasible, lo, hi, tol)[1]
+
+
+def _gate_targets(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
+                  phi: float) -> list[np.ndarray]:
+    """Pauli coefficients of the gate output on every pair of extremal
+    inputs, the breakpoint circles at azimuth 0 (diagonal-unitary invariance
+    lets every other azimuth follow by Z-rotation)."""
+    return [apply_gate_pauli(phi, BlochVector(r_a, 0.0, z_a),
+                             BlochVector(r_b, 0.0, z_b)).m
+            for z_a, r_a in space_a.breakpoints
+            for z_b, r_b in space_b.breakpoints]
+
+
+def _fits(target, circles_a, circles_b, n: int, lp_tol: float) -> bool:
+    """The LP places the target in the hull of the circles' products to
+    within lp_tol."""
+    return decompose_over_circles(target, circles_a, circles_b, n, lp_tol,
+                                  refine_rounds=2)[0] <= lp_tol
+
+
 def _phased_target(m: np.ndarray, inv_r: float) -> np.ndarray:
     """Apply T_{1/R} (x) T_{1/R} to a Pauli coefficient matrix: scale the X, Y
     rows (side A) and columns (side B) by 1/R."""
@@ -165,36 +216,38 @@ def _phased_target(m: np.ndarray, inv_r: float) -> np.ndarray:
     return out
 
 
-def _extremal_inputs(space: SymmetricStateSpace):
-    return [BlochVector(r, 0.0, z) for z, r in space.breakpoints]
-
-
 def r_star(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
            phi: float, n: int = 40, tol: float = 1e-3,
            lp_tol: float = 1e-7) -> float:
     """Minimal phasing growth R with
     T_{1/R} (x) T_{1/R} (V_phi(S_A (x) S_B)) inside Conv(S_A (x) S_B).
 
-    Diagonal-unitary invariance lets the extremal input azimuths be fixed to
-    zero; the hull membership is an LP over the spaces' own breakpoint
-    circles.  Monotone in R because dephasing a Z-symmetric space stays
-    inside its hull."""
-    targets = [apply_gate_pauli(phi, v_a, v_b).m
-               for v_a in _extremal_inputs(space_a)
-               for v_b in _extremal_inputs(space_b)]
-    circles_a = list(space_a.breakpoints)
-    circles_b = list(space_b.breakpoints)
+    The hull membership is an LP over the spaces' own breakpoint circles.
+    Monotone in R because dephasing a Z-symmetric space stays inside its
+    hull."""
+    targets = _gate_targets(space_a, space_b, phi)
 
     def feasible(r):
-        for t in targets:
-            residual, _, _, _ = decompose_over_circles(
-                _phased_target(t, 1.0 / r), circles_a, circles_b,
-                n, lp_tol, refine_rounds=2)
-            if residual > lp_tol:
-                return False
-        return True
+        return all(_fits(_phased_target(t, 1.0 / r), space_a.breakpoints,
+                         space_b.breakpoints, n, lp_tol) for t in targets)
 
     return bisect_min_radius(feasible, tol, hi_start=1.0)
+
+
+def min_output_radius(space_a: SymmetricStateSpace,
+                      space_b: SymmetricStateSpace, phi: float,
+                      tol: float = 1e-3, n: int = 40,
+                      lp_tol: float = 1e-7) -> float:
+    """Smallest cylinder radius R such that the gate output on every pair of
+    extremal circles of the two spaces is separable over Cyl(R) x Cyl(R)."""
+    targets = _gate_targets(space_a, space_b, phi)
+
+    def feasible(r):
+        circles = cylinder(r).breakpoints
+        return all(_fits(t, circles, circles, n, lp_tol) for t in targets)
+
+    hi_start = max(space_a.radius, space_b.radius, 1e-6)
+    return bisect_min_radius(feasible, tol, hi_start=hi_start)
 
 
 def r_star_point_set(points_a, points_b, phi: float, tol: float = 1e-3,
@@ -217,12 +270,8 @@ def r_star_point_set(points_a, points_b, phi: float, tol: float = 1e-3,
                for pa in in_a for pb in in_b]
 
     def feasible(r):
-        for t in targets:
-            phased = _phased_target(t, 1.0 / r).reshape(16)
-            residual, _ = solve_lp(pts_a, pts_b, phased)
-            if residual > lp_tol:
-                return False
-        return True
+        return all(solve_lp(pts_a, pts_b, _phased_target(t, 1.0 / r).reshape(16))[0]
+                   <= lp_tol for t in targets)
 
     return bisect_min_radius(feasible, tol, hi_start=1.0)
 
@@ -230,15 +279,10 @@ def r_star_point_set(points_a, points_b, phi: float, tol: float = 1e-3,
 def _bspace_first_gate_feasible(r, r_target, phi, n, lp_tol):
     if r >= 1.0:
         return False
-    ext = _extremal_inputs(b_space(r, math.sqrt(1.0 - r * r)))
-    for v_a in ext:
-        for v_b in ext:
-            target = apply_gate_pauli(phi, v_a, v_b)
-            ok, _, _ = hull_membership(target, r_target, r_target,
-                                       n=n, tol=lp_tol, refine_rounds=2)
-            if not ok:
-                return False
-    return True
+    space = b_space(r, math.sqrt(1.0 - r * r))
+    circles = cylinder(r_target).breakpoints
+    return all(_fits(t, circles, circles, n, lp_tol)
+               for t in _gate_targets(space, space, phi))
 
 
 def max_input_radius_bspace(delta: int, phi: float, n: int = 40,
@@ -268,8 +312,7 @@ def max_input_radius_bspace(delta: int, phi: float, n: int = 40,
 
 
 def bspace_search_rows(delta: int, phi: float, n: int = 40,
-                       tol: float = 1e-4, lp_tol: float = 1e-7,
-                       radius_n: int = 24, radius_tol: float = 1e-3):
+                       tol: float = 1e-4, lp_tol: float = 1e-7):
     """CSV-facing B-space search: for every radius probed by the bisection,
     report (r, feasible, R1) with R1 the minimal output cylinder radius of
     the first gate on B(r, sqrt(1-r^2)) inputs."""
@@ -282,7 +325,8 @@ def bspace_search_rows(delta: int, phi: float, n: int = 40,
             rows.append((r, ok, math.inf))
             continue
         space = b_space(r, math.sqrt(1.0 - r * r))
-        r1 = min_output_radius(space, space, phi, tol=radius_tol, n=radius_n)
+        r1 = min_output_radius(space, space, phi, tol=_ROW_RADIUS_TOL,
+                               n=_ROW_RADIUS_N)
         rows.append((r, ok, r1))
     return best, rows
 

@@ -315,13 +315,21 @@ def _without(key, *path):
         adaptive={"nodes": [0.5], "angles": [0.3, 0.6]}),
     lambda s: s["sampler"].update(seed=1.7),
     lambda s: s["sampler"].update(num_samples=2.5),
+    _powerlaw(cutoff=2.5),
+    _powerlaw(cutoff=True),
+    _powerlaw(cutoff=math.inf),  # what a JSON 1e400 parses to
+    _powerlaw(dim=1.0),
+    lambda s: s["sampler"].update(discretization=2.7),
+    lambda s: s["sampler"].update(tolerance="nan"),
 ], ids=["theta-nan", "theta-inf", "azimuth", "shrink", "phi", "omega",
         "adaptive-angle", "alpha", "time", "nn-phase", "no-samples",
         "empty-object", "array", "no-theta", "no-kind", "short-edge",
         "null-seed", "infinite-samples", "powerlaw-key", "anchor-fraction",
         "anchor-float", "anchor-bool", "anchor-string", "node-fraction",
         "graph-edge-fraction", "gate-edge-fraction", "adaptive-node-fraction",
-        "seed-fraction", "samples-fraction"])
+        "seed-fraction", "samples-fraction", "cutoff-fraction", "cutoff-bool",
+        "cutoff-overflow", "dim-float", "discretization-fraction",
+        "tolerance-nan"])
 def test_malformed_spec_rejected(capsys, tmp_path, command, patch):
     spec = _pair_spec()
     replaced = patch(spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from cylsim import decompose
+from cylsim import decompose, statespace
 from cylsim.bloch import BlochVector, apply_gate_pauli, radius, z_rotate
 from cylsim.decompose import (
     DecompositionRequest,
@@ -14,13 +14,12 @@ from cylsim.decompose import (
     coupling_operator,
     decompose_gate_output,
     hull_membership,
-    min_output_radius,
     reconstruct,
     reduced_determinant,
     solve_lp,
 )
 from cylsim.growth import LAMBDA_CZ, GrowthQuery, lambda_phi, lemma1_feasible
-from cylsim.statespace import cylinder
+from cylsim.statespace import cylinder, min_output_radius
 
 
 def test_reduced_determinant_boundary_zero():
@@ -130,6 +129,113 @@ def test_solve_lp_matches_single_lp():
         assert single - 1e-8 <= residual <= single + 1e-9
         assert weights.shape == (n * n,) and weights.min() >= 0.0
         assert np.max(np.abs(full_a @ weights - target16)) <= residual + 1e-9
+
+
+def _all_column_lp(pts_a, pts_b, target16):
+    """Reference LP: every product column and all 16 rows, no pole rule and
+    no column generation.  Returns (residual, full constraint matrix)."""
+    ca = np.column_stack([np.ones(len(pts_a)), pts_a])
+    cb = np.column_stack([np.ones(len(pts_b)), pts_b])
+    full = np.einsum("ia,jb->abij", ca, cb).reshape(16, -1)
+    ones = np.ones((16, 1))
+    cost = np.zeros(full.shape[1] + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=np.vstack([np.hstack([full, -ones]),
+                                        np.hstack([-full, -ones])]),
+                  b_ub=np.concatenate([target16, -target16]),
+                  bounds=(0, None), method="highs")
+    return res.fun, full
+
+
+def _circle_points(circles, n):
+    return np.array([(r * math.cos(a), r * math.sin(a), z) for z, r in circles
+                     for a in (2 * math.pi * np.arange(n) / n if r > 0 else [0.0])])
+
+
+def _phased(m, r):
+    out = m.copy()
+    out[1:3, :] /= r
+    out[:, 1:3] /= r
+    return out
+
+
+def _pole_rule_cases(rng, count):
+    """(family, pts_a, pts_b, target16) from random pole inputs: a cylinder
+    hull test, an r_star probe over B-space circles, and an r_star_point_set
+    probe over raw points on circles at z = +-1 of unequal radii."""
+    for _ in range(count):
+        phi = rng.uniform(0.1, 2 * math.pi - 0.1)
+        r_a, r_b = rng.uniform(0.05, 0.5, 2)
+        az_a, az_b = rng.uniform(0.0, 2 * math.pi, 2)
+        z_a, z_b = rng.choice([-1.0, 1.0], 2)
+        v_a = BlochVector(r_a * math.cos(az_a), r_a * math.sin(az_a), z_a)
+        # side B is off its poles in a third of the cases
+        z_b = rng.choice([z_b, rng.uniform(-0.9, 0.9)], p=[2 / 3, 1 / 3])
+        v_b = BlochVector(r_b * math.cos(az_b), r_b * math.sin(az_b), z_b)
+        pts = _circle_points(cylinder(rng.uniform(0.5, 2.5) * max(r_a, r_b)).breakpoints, 12)
+        yield "cylinder", pts, pts, apply_gate_pauli(phi, v_a, v_b).m.reshape(16)
+
+        space = statespace.b_space(rng.uniform(0.1, 0.5), rng.uniform(0.3, 0.9))
+        ext = [BlochVector(r, 0.0, z) for z, r in space.breakpoints]
+        w_a, w_b = (ext[k] for k in rng.integers(len(ext), size=2))
+        pts = _circle_points(space.breakpoints, 12)
+        target = _phased(apply_gate_pauli(phi, w_a, w_b).m, rng.uniform(0.8, 2.5))
+        yield "b-space", pts, pts, target.reshape(16)
+
+        raw = _circle_points([(-1.0, rng.uniform(0.1, 0.4)),
+                              (1.0, rng.uniform(0.1, 0.4))], 8)
+        cyl = _circle_points(cylinder(0.25).breakpoints, 8)
+        p_a, p_b = raw[rng.integers(len(raw))], cyl[rng.integers(len(cyl))]
+        target = _phased(apply_gate_pauli(phi, BlochVector(*p_a), BlochVector(*p_b)).m,
+                         rng.uniform(0.8, 2.5))
+        yield "raw", raw, cyl, target.reshape(16)
+
+
+def test_solve_lp_pole_rule_matches_all_column_lp(monkeypatch):
+    # the pole rule keeps one pole's candidates on a pinned side and drops
+    # its Z rows: the optimum matches the LP over every column and all 16
+    # rows, and the weights reconstruct all 16 rows
+    lp_rows = []
+    real_linprog = decompose.linprog
+
+    def counting(cost, A_ub, b_ub, **kwargs):
+        lp_rows.append(len(b_ub) // 2)
+        return real_linprog(cost, A_ub=A_ub, b_ub=b_ub, **kwargs)
+
+    monkeypatch.setattr(decompose, "linprog", counting)
+    rng = np.random.default_rng(71)
+    pinned = {"cylinder": 0, "b-space": 0, "raw": 0}
+    raw_decomposable = 0
+    for family, pts_a, pts_b, target16 in _pole_rule_cases(rng, 30):
+        reference, full = _all_column_lp(pts_a, pts_b, target16)
+        lp_rows.clear()
+        residual, weights = solve_lp(pts_a, pts_b, target16)
+        pinned[family] += lp_rows[0] < 16
+        assert weights.shape == (full.shape[1],) and weights.min() >= 0.0
+        assert np.max(np.abs(full @ weights - target16)) <= residual + 1e-9
+        if family == "raw":
+            # off-pole raw points have no pole point with the same x and y,
+            # so a pinned side's optimum can sit above the all-column one
+            # when the target does not decompose; it decomposes in both or
+            # in neither
+            assert residual >= reference - 1e-9
+            assert (residual <= 1e-9) == (reference <= 1e-9)
+            raw_decomposable += reference <= 1e-9
+            if reference > 1e-9:
+                continue
+        assert residual == pytest.approx(reference, abs=1e-9), family
+    assert min(pinned.values()) >= 10 and raw_decomposable >= 5
+
+    # a Z row off by 1e-9 is not pinned; one off by 1e-13 is
+    pts = _circle_points(cylinder(0.3).breakpoints, 12)
+    exact = apply_gate_pauli(2.0, BlochVector(0.2, 0.0, 1.0),
+                             BlochVector(0.1, 0.1, 0.4)).m
+    for offset, rows in ((0.0, 12), (1e-13, 12), (1e-9, 16)):
+        target = exact.copy()
+        target[3, 0] += offset
+        lp_rows.clear()
+        solve_lp(pts, pts, target.reshape(16))
+        assert lp_rows[0] == rows, offset
 
 
 def test_decompose_fast_path_zero_radius():
@@ -333,5 +439,5 @@ def test_min_output_radius_cylinders():
 
 
 def test_bisect_no_upper_bracket():
-    with pytest.raises(decompose.NoUpperBracket):
-        decompose.bisect_min_radius(lambda r: False, tol=1e-3)
+    with pytest.raises(statespace.NoUpperBracket):
+        statespace.bisect_min_radius(lambda r: False, tol=1e-3)

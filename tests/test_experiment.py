@@ -107,6 +107,25 @@ def test_zero_radius_inputs_never_grow():
         assert res.trace[0].radii[1] == pytest.approx(math.sin(0.5))
 
 
+def test_ledger_rows_hold_only_their_own_nodes():
+    # a wide spec (40 nodes, 185 gates): each row keeps a gate's two
+    # endpoints or the measured node, never a copy of every radius
+    doc = {
+        "version": 1,
+        "inputs": {str(k): {"theta": 0.01} for k in range(40)},
+        "gates": {"powerlaw": {"alpha": 3.0, "nn_phase": math.pi, "cutoff": 5}},
+        "schedule": [{"node": k, "kind": "XY", "omega": 0.0} for k in range(40)],
+        "sampler": {"num_samples": 16, "seed": 0},
+    }
+    spec = ExperimentSpec.from_json(doc)
+    res = radius_ledger(spec)
+    assert res.simulable and len(res.trace) == 185 + 40
+    assert max(len(row.radii) for row in res.trace) <= 2
+    for (kind, payload), row in zip(spec.timeline(), res.trace):
+        own = set(payload.edge) if kind == "gate" else {payload.node}
+        assert set(row.radii) == own
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="no input"):
         ExperimentSpec(edges=[(0, 1)], inputs={0: NodeInput(0.1)},

@@ -38,3 +38,21 @@ def test_bench_sampler_runs_on_a_tiny_config(tmp_path):
         assert len(case["runs_s"]) == 2 and case["us_per_sample"] > 0
     assert tiny["cases"]["grid2x5-30"]["qubits"] == 10
     assert {"numpy", "scipy", "python"} <= set(tiny["versions"])
+
+
+def test_bench_lp_runs_on_a_tiny_config(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_lp.py"),
+                    "--label", "tiny", "--cases", "rstar-cylinder", "lemma7",
+                    "--instances", "1", "--repeats", "2", "--output", str(out)],
+                   check=True, capture_output=True, timeout=120)
+    tiny = json.loads(out.read_text())["tiny"]
+    assert set(tiny["cases"]) == {"rstar-cylinder", "lemma7"}
+    for case in tiny["cases"].values():
+        assert len(case["runs_s"]) == 2 and case["median_s"] > 0
+        assert case["lp_solves"] > 0
+    # one r_star for the cylinder; hull, s and t for one Lemma-7 pair
+    assert len(tiny["cases"]["rstar-cylinder"]["radii"]) == 1
+    assert len(tiny["cases"]["lemma7"]["radii"]) == 3
+    assert {"numpy", "scipy", "python"} <= set(tiny["versions"])
+    assert tiny["blas_threads"] == 1

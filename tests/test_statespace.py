@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cylsim.bloch import BlochVector
-from cylsim.decompose import min_output_radius
 from cylsim.growth import LAMBDA_CZ
 from cylsim.statespace import (
     SymmetricStateSpace,
@@ -13,6 +12,7 @@ from cylsim.statespace import (
     cylinder_max_input_radius,
     lemma8_audit,
     max_input_radius_bspace,
+    min_output_radius,
     profile_hull,
     r_star,
     r_star_point_set,
