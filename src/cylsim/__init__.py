@@ -30,8 +30,7 @@ from .growth import (
     theta_max,
 )
 from .decompose import (
-    DecompositionRequest,
-    DecompositionTerm,
+    Decomposition,
     decompose_gate_output,
     hull_membership,
     reduced_determinant,

@@ -1,9 +1,11 @@
 """Explicit cylinder-separable decompositions of diagonal-gate outputs.
 
+Every decomposer returns one array format, `Decomposition(weights, a, b)`.
+
 Gate outputs on extremal inputs: split the output at azimuth 0 in closed form
 into at most four extremal product terms on each input's own z circle, at
-the given phase, exact to 1e-12 in the Pauli coefficients, and Z-rotate each
-side's terms by its input's azimuth (diagonal gates commute with local
+the given phase, exact to 1e-12 in the Pauli coefficients, and turn each
+side's points by its input's azimuth (diagonal gates commute with local
 Z-rotations).  General state spaces: one LP core, `solve_lp`, for
 nonnegative weights over candidate extremal points, minimising the
 worst-case coefficient residual, so infeasibility is reported
@@ -19,7 +21,7 @@ decompositions live in `statespace`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -31,7 +33,6 @@ from .bloch import (
     PauliCoeffMatrix,
     apply_gate_pauli,
     radius,
-    z_rotate,
 )
 from .growth import GrowthQuery, fold_phase, lemma1_feasible, lemma1_lhs
 
@@ -76,25 +77,27 @@ def coupling_operator(f_a: float, f_b: float, phi: float) -> np.ndarray:
     return op
 
 
-@dataclass(frozen=True)
-class DecompositionTerm:
-    """One product term of a separable decomposition."""
+class Decomposition(NamedTuple):
+    """Product terms of a separable decomposition: weights (k,) summing to 1,
+    and each side's (k, 3) points as rows (x, y, z)."""
 
-    weight: float
-    omega_a: BlochVector
-    omega_b: BlochVector
+    weights: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
-@dataclass(frozen=True)
-class DecompositionRequest:
-    """Decompose V_phi (input_a x input_b) V_phi^dag over Cyl(r_out_a) x
-    Cyl(r_out_b) in the inputs' own frame: any pole, azimuth and phase."""
+def reconstruct(d: Decomposition) -> np.ndarray:
+    """The 4x4 Pauli coefficients sum_k w_k (1, a_k) (x) (1, b_k)."""
+    ones = np.ones((len(d.weights), 1))
+    return np.einsum("k,ka,kb->ab", d.weights, np.hstack([ones, d.a]),
+                     np.hstack([ones, d.b]))
 
-    input_a: BlochVector
-    input_b: BlochVector
-    phi: float
-    r_out_a: float
-    r_out_b: float
+
+def _z_turn(points, angle):
+    """(k, 3) points turned by `angle` about the z axis, as bloch.z_rotate."""
+    c, s = math.cos(angle), math.sin(angle)
+    x, y = points[:, 0], points[:, 1]
+    return np.column_stack([c * x - s * y, s * x + c * y, points[:, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +124,8 @@ def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
     """Exact decomposition of a gate output on extremal inputs over the
     circles of Cyl(r_out_a) x Cyl(r_out_b), radii > 0, at each side's pole
     read from the target (m[3, 0], m[0, 3]: diagonal gates keep the (I,Z) x
-    (I,Z) block).  Returns (feasible, terms, residual): feasible says the
-    operator below is PSD to 1e-12, and residual is the largest
+    (I,Z) block).  Returns (feasible, Decomposition, residual): feasible says
+    the operator below is PSD to 1e-12, and residual is the largest
     Pauli-coefficient error of the terms.
 
     The (I,X,Y) x (I,X,Y) block scaled by 1/r_out per side is a real
@@ -165,11 +168,10 @@ def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
     u, sv, vt = np.linalg.svd(cols.T.reshape(-1, 2, 2))
     weights = sv[:, 0] ** 2
     support = weights > 0.0
-    terms = _terms_from_arrays(weights[support] / weights[support].sum(),
-                               _circle_points(u[support, :, 0], r_out_a, z_a),
-                               _circle_points(vt[support, 0, :], r_out_b, z_b))
-    residual = float(np.max(np.abs(reconstruct(terms).m - m)))
-    return feasible, terms, residual
+    d = Decomposition(weights[support] / weights[support].sum(),
+                      _circle_points(u[support, :, 0], r_out_a, z_a),
+                      _circle_points(vt[support, 0, :], r_out_b, z_b))
+    return feasible, d, float(np.max(np.abs(reconstruct(d) - m)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,35 +271,31 @@ def solve_lp(pts_a, pts_b, target16):
 def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
                            refine_rounds=6):
     """Decompose a Pauli coefficient target over products of discretized
-    extremal circles.  Returns (residual, weights, pts_a, pts_b) for the
-    support, refining azimuths around the active support while the residual
-    exceeds tol."""
-    target16 = np.asarray(target_m, dtype=float).reshape(16)
+    extremal circles.  Returns (residual, Decomposition) for the support,
+    refining azimuths around the active support while the residual exceeds
+    tol, which must be finite and > 0; n >= 1 azimuths per circle."""
+    if n < 1:
+        raise ValueError(f"need at least one azimuth per circle, not {n!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, not {tol!r}")
+    target = np.asarray(target_m, dtype=float).reshape(4, 4)
     base = 2.0 * math.pi * np.arange(n) / n
     az_a = [base.copy() for _ in circles_a]
     az_b = [base.copy() for _ in circles_b]
     half_step = math.pi / n
 
-    best = None
     for round_idx in range(refine_rounds + 1):
         pts_a, own_a, azs_a = _candidates(circles_a, az_a)
         pts_b, own_b, azs_b = _candidates(circles_b, az_b)
-        _lp_residual, w = solve_lp(pts_a, pts_b, target16)
+        _lp_residual, w = solve_lp(pts_a, pts_b, target.reshape(16))
         support = np.nonzero(w > _WEIGHT_EPS)[0]
-        w_s = w[support]
-        pa_s = pts_a[support // len(pts_b)]
-        pb_s = pts_b[support % len(pts_b)]
         # normalise so weights are an exact distribution, then report the
         # residual of what is actually returned
-        w_s = w_s / w_s.sum()
-        recon = np.einsum("k,ka,kb->ab",
-                          w_s,
-                          np.column_stack([np.ones(len(pa_s)), pa_s]),
-                          np.column_stack([np.ones(len(pb_s)), pb_s])).reshape(16)
-        residual = float(np.max(np.abs(recon - target16)))
-        best = (residual, w_s, pa_s, pb_s)
+        d = Decomposition(w[support] / w[support].sum(),
+                          pts_a[support // len(pts_b)], pts_b[support % len(pts_b)])
+        residual = float(np.max(np.abs(reconstruct(d) - target)))
         if residual <= tol or round_idx == refine_rounds:
-            break
+            return residual, d
         # rebuild each side as base grid + support + halved-step neighbours;
         # dropping stale refinement columns is safe because the current
         # support stays in, so the residual cannot regress
@@ -309,26 +307,18 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
                 az[k] = np.unique(np.concatenate(
                     [base, sel, sel - half_step, sel + half_step]))
         half_step /= 2.0
-    return best
-
-
-def _terms_from_arrays(weights, pts_a, pts_b):
-    return [
-        DecompositionTerm(float(w), BlochVector(*pa), BlochVector(*pb))
-        for w, pa, pb in zip(weights, pts_a, pts_b)
-    ]
 
 
 def hull_membership(target: PauliCoeffMatrix, r_a: float, r_b: float,
                     n: int = 40, tol: float = 1e-7, refine_rounds: int = 6):
     """LP convex-hull membership of a normalised two-particle operator in the
     separable hull over Cyl(r_a) x Cyl(r_b) extrema discretized at N azimuths
-    per circle.  Returns (feasible, terms, residual)."""
+    per circle.  Returns (feasible, Decomposition, residual)."""
     m = target.m if isinstance(target, PauliCoeffMatrix) else np.asarray(target)
-    residual, w, pts_a, pts_b = decompose_over_circles(
+    residual, d = decompose_over_circles(
         m, [(-1.0, r_a), (1.0, r_a)], [(-1.0, r_b), (1.0, r_b)], n, tol,
         refine_rounds)
-    return residual <= tol, _terms_from_arrays(w, pts_a, pts_b), residual
+    return residual <= tol, d, residual
 
 
 def _ratio(r: float, r_out: float) -> float:
@@ -339,64 +329,47 @@ def _ratio(r: float, r_out: float) -> float:
     return r / r_out
 
 
-def decompose_gate_output(req: DecompositionRequest) -> list[DecompositionTerm]:
-    """Separable decomposition of the gate output for extremal inputs.
+def decompose_gate_output(v_a: BlochVector, v_b: BlochVector, phi: float,
+                          r_out_a: float, r_out_b: float) -> Decomposition:
+    """Separable decomposition of V_phi (v_a x v_b) V_phi^dag over
+    Cyl(r_out_a) x Cyl(r_out_b), for inputs at any pole, azimuth and phase.
 
-    Zero-radius inputs take the exact diagonal fast path (the gate acts as an
-    outcome-conditioned Z-rotation on the partner); the identity gate returns
-    the input product; anything else takes the closed form at azimuth 0 on the
-    inputs' own poles, Z-rotated per side.  lemma1_feasible decides
-    feasibility; a closed-form residual above 1e-12 raises SolverFailure."""
-    r_a, r_b = radius(req.input_a), radius(req.input_b)
-    query = GrowthQuery(_ratio(r_a, req.r_out_a), _ratio(r_b, req.r_out_b), req.phi)
+    The identity gate returns the input product.  A zero-radius input is
+    Z-diagonal: the output conditions on its pole, and the |1> branch
+    Z-rotates the partner by phi.  Anything else takes the closed form at
+    azimuth 0 on the inputs' own poles, each side turned by its input's
+    azimuth.  lemma1_feasible decides feasibility; a closed-form residual
+    above 1e-12 raises SolverFailure."""
+    r_a, r_b = radius(v_a), radius(v_b)
+    query = GrowthQuery(_ratio(r_a, r_out_a), _ratio(r_b, r_out_b), phi)
     if not lemma1_feasible(query):
         raise InfeasibleRequest(
             f"no separable decomposition for f_a={query.f_a:.6g}, "
-            f"f_b={query.f_b:.6g}, phi={req.phi:.6g}")
+            f"f_b={query.f_b:.6g}, phi={phi:.6g}")
 
-    if fold_phase(req.phi) == 0.0:
-        return [DecompositionTerm(1.0, req.input_a, req.input_b)]
+    if fold_phase(phi) == 0.0:
+        return Decomposition(np.ones(1), v_a.as_array()[None], v_b.as_array()[None])
 
     if r_a <= ZERO_RADIUS or r_b <= ZERO_RADIUS:
-        return _diagonal_fast_path(req, r_a <= ZERO_RADIUS)
+        diag, other = (v_a, v_b) if r_a <= ZERO_RADIUS else (v_b, v_a)
+        p_up = (1.0 + diag.z) / 2.0
+        weights = np.array([p_up, 1.0 - p_up])
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        row = other.as_array()[None]
+        partner = np.vstack([row, _z_turn(row, phi)])
+        keep = weights > 0.0
+        if r_a <= ZERO_RADIUS:
+            return Decomposition(weights[keep], poles[keep], partner[keep])
+        return Decomposition(weights[keep], partner[keep], poles[keep])
 
-    v_a, v_b = req.input_a, req.input_b
     if abs(abs(v_a.z) - 1.0) > 1e-9 or abs(abs(v_b.z) - 1.0) > 1e-9:
         raise NonExtremalInput("the closed form needs inputs with z = +-1")
-    target = apply_gate_pauli(req.phi,
+    target = apply_gate_pauli(phi,
                               BlochVector(r_a, 0.0, math.copysign(1.0, v_a.z)),
                               BlochVector(r_b, 0.0, math.copysign(1.0, v_b.z)))
-    _psd, terms, residual = closed_form_decomposition(target, req.r_out_a, req.r_out_b)
+    _psd, d, residual = closed_form_decomposition(target, r_out_a, r_out_b)
     if residual > EXACT_TOL:
         raise SolverFailure(f"closed-form residual {residual:.3e} exceeds "
                             f"{EXACT_TOL:.0e} for {query}")
-    return [DecompositionTerm(t.weight, z_rotate(t.omega_a, v_a.azimuth()),
-                              z_rotate(t.omega_b, v_b.azimuth()))
-            for t in terms]
-
-
-def _diagonal_fast_path(req: DecompositionRequest, a_is_diagonal: bool):
-    """Exact two-term decomposition when one input is Z-diagonal: condition
-    on that particle's pole and Z-rotate the partner in the |1> branch."""
-    if a_is_diagonal:
-        diag, other = req.input_a, req.input_b
-    else:
-        diag, other = req.input_b, req.input_a
-    p_up = (1.0 + diag.z) / 2.0
-    branches = []
-    if p_up > 0.0:
-        branches.append((p_up, BlochVector(0.0, 0.0, 1.0), other))
-    if p_up < 1.0:
-        branches.append((1.0 - p_up, BlochVector(0.0, 0.0, -1.0),
-                         z_rotate(other, req.phi)))
-    if a_is_diagonal:
-        return [DecompositionTerm(w, d, o) for w, d, o in branches]
-    return [DecompositionTerm(w, o, d) for w, d, o in branches]
-
-
-def reconstruct(terms) -> PauliCoeffMatrix:
-    """Weighted Pauli-coefficient sum of a list of terms."""
-    m = np.zeros((4, 4))
-    for t in terms:
-        m += t.weight * np.outer(t.omega_a.coeffs(), t.omega_b.coeffs())
-    return PauliCoeffMatrix(m)
+    return Decomposition(d.weights, _z_turn(d.a, v_a.azimuth()),
+                         _z_turn(d.b, v_b.azimuth()))

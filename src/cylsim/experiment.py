@@ -158,6 +158,8 @@ class SamplerSettings:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
+        if self.discretization < 1:
+            raise ValueError("discretization must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, not {self.tolerance!r}")
 
@@ -167,10 +169,13 @@ class SamplerSettings:
 
     @classmethod
     def from_json(cls, data: dict) -> "SamplerSettings":
+        tolerance = data.get("tolerance", 1e-7)
+        if isinstance(tolerance, bool):
+            raise ValueError(f"tolerance must be a number, not {tolerance!r}")
         return cls(_integer(data.get("num_samples", 10000), "num_samples"),
                    _integer(data.get("seed", 0), "seed"),
                    _integer(data.get("discretization", 40), "discretization"),
-                   float(data.get("tolerance", 1e-7)))
+                   float(tolerance))
 
 
 @dataclass

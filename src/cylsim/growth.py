@@ -3,17 +3,16 @@
 The central object is lambda(phi): the minimal factor by which both cylinder
 radii must grow so that the output of the canonical phase gate V_phi stays
 cylinder-separable.  Everything else here (phase boundaries, long-range
-convergence, matter prerequisites) is built on it.
+convergence, matter prerequisites) is built on it.  It is a closed form
+(Cardano's or Viete's root of a cubic), so this module needs no root finder
+and keeps no cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
-
-from scipy.optimize import brentq
 
 from .bloch import TWO_PI, norm_angle
 
@@ -35,7 +34,6 @@ def fold_phase(phi: float) -> float:
     return abs(math.remainder(phi, TWO_PI))
 
 
-@lru_cache(maxsize=4096)
 def _lambda_folded(phi: float) -> float:
     if phi == 0.0:
         return 1.0
@@ -49,12 +47,12 @@ def _lambda_folded(phi: float) -> float:
         third = 1.0 / 3.0
         q = (-mu / 2.0) ** third * ((1.0 + s) ** third + (1.0 - s) ** third)
     else:
-        # Near phi = pi the radicand goes negative; fall back to a bracketed
-        # root refinement on [sqrt(-mu), sqrt(-mu) + 4], where the cubic is
-        # monotone increasing and changes sign.
-        lo = math.sqrt(-mu)
-        q = brentq(lambda t: t * (t * t + mu) + mu, lo, lo + 4.0,
-                   xtol=1e-15, rtol=8.9e-16)
+        # From -mu = 27/4 (phi ~ 2.329) on, the cubic has three real roots;
+        # Viete's trigonometric form gives the positive one.  The acos
+        # argument is 1 at -mu = 27/4 and falls to sqrt(27/32) at phi = pi;
+        # correctly rounded operations are monotone, so it never exceeds 1.
+        q = 2.0 * math.sqrt(-mu / 3.0) * math.cos(
+            math.acos(1.5 * math.sqrt(-3.0 / mu)) / 3.0)
     return math.sqrt(q + 1.0)
 
 

@@ -19,11 +19,6 @@ from .experiment import ExperimentSpec, GateStep, MeasureStep, NodeInput, Sample
 from .growth import LAMBDA_CZ
 
 
-class TooLargeForOracle(ValueError):
-    """Oracle verification was requested for a construction above the dense
-    qubit limit."""
-
-
 def steer_max(r_a: float, r_b: float) -> float:
     """Largest radius particle B can be steered to by post-selecting an
     XY-plane measurement on its partner A: r_b / (1 - r_a)."""
@@ -103,24 +98,17 @@ def logistic_upper_bounds(max_dim: int) -> list[float]:
     return bounds
 
 
-def matter_bounds(dim: int, delta_override: int | None = None,
-                  literal_exponent: bool = False) -> MatterBounds:
+def matter_bounds(dim: int, literal_exponent: bool = False) -> MatterBounds:
     """Lower and upper bounds on F_D for rectilinear lattices.
 
     The lower bound comes from the matched-pair construction at degree
     Delta = 2*dim: lambda_CZ^-(Delta-1) / 2.  `literal_exponent` exposes the
     weaker exponent -(2*dim + 1) instead (the two appear in different
     statements of the source material; neither is silently corrected).
-    `delta_override` substitutes an explicit degree into the same formula.
     For dim = 1 the threshold is exactly 1/4."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if delta_override is not None:
-        exponent = delta_override - 1
-    elif literal_exponent:
-        exponent = 2 * dim + 1
-    else:
-        exponent = 2 * dim - 1
+    exponent = 2 * dim + 1 if literal_exponent else 2 * dim - 1
     lower = LAMBDA_CZ ** (-exponent) / 2.0
     upper = logistic_upper_bounds(dim)[-1]
     return MatterBounds(dim, lower, upper)
@@ -150,13 +138,12 @@ def coarse_grain_threshold_1d(growth: float = LAMBDA_CZ) -> float:
 
 
 def comb_construction(dim: int, grid_size: int, radius: float | None = None,
-                      phi: float = math.pi, oracle_check: bool = False):
+                      phi: float = math.pi):
     """Generate the comb measurement pattern used for dimension reduction.
 
     dim=1 gives a plain chain; dim=2 a grid where alternating half-columns
     are projected out in Z and the rest steer toward the central row.  For
-    dim >= 3 only a textual description of the pattern is returned.  With
-    oracle_check, constructions beyond the dense limit are refused."""
+    dim >= 3 only a textual description of the pattern is returned."""
     if dim >= 3:
         return ("project out, along the last axis and per 2-colouring of the "
                 "central slice, all sites strictly above blue sites and "
@@ -207,9 +194,6 @@ def comb_construction(dim: int, grid_size: int, radius: float | None = None,
     if radius is None:
         radius = LAMBDA_CZ ** (-max(degree.values()))
     theta = math.asin(radius)
-
-    if oracle_check and n > 10:
-        raise TooLargeForOracle(f"{n} nodes cannot be verified by the dense oracle")
 
     return ExperimentSpec(
         edges=edges,

@@ -12,7 +12,8 @@ radius ledger supplies each gate's input and output radii.  A branch vector
 entering a gate is fixed by its ledger radius, its z (-1, 0 or +1) and its
 azimuth, and diagonal gates commute with local Z-rotations, so a gate step
 decomposes once per input z pair present (at most nine) at azimuth 0; each
-sample picks a term and Z-rotates each side by its own input's azimuth.
+sample picks a term, indexes its row of each side's point array and
+Z-rotates it by its own input's azimuth.
 
 Randomness is counter-based: step k (the initial split of the k-th node,
 then the timeline's events) draws one uniform per sample from the Philox
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import decompose
 from .bloch import ZERO_RADIUS, BlochVector, measure_prob
-from .decompose import DecompositionRequest
 from .experiment import ExperimentSpec, radius_ledger, resolve_measure_angle
 from .growth import fold_phase
 
@@ -92,18 +92,17 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
             new_z = {a: np.empty(n, np.int8), b: np.empty(n, np.int8)}
             for c in np.unique(code):
                 z_a, z_b = divmod(int(c), 3)
-                terms = decompose.decompose_gate_output(DecompositionRequest(
+                d = decompose.decompose_gate_output(
                     BlochVector(r_a, 0.0, z_a - 1), BlochVector(r_b, 0.0, z_b - 1),
-                    payload.phi, out_a, out_b))
-                cum = np.cumsum([t.weight for t in terms])
+                    payload.phi, out_a, out_b)
+                cum = np.cumsum(d.weights)
                 sel = code == c
                 pick = np.minimum(np.searchsorted(cum, u[sel] * cum[-1], side="right"),
-                                  len(terms) - 1)
-                for node, omegas in ((a, [t.omega_a for t in terms]),
-                                     (b, [t.omega_b for t in terms])):
-                    term_xy = np.array([complex(w.x, w.y) for w in omegas])
+                                  len(cum) - 1)
+                for node, pts in ((a, d.a), (b, d.b)):
+                    term_xy = pts[:, 0] + 1j * pts[:, 1]
                     new_xy[node][sel] = term_xy[pick] * _phase(xy[node][sel])
-                    new_z[node][sel] = np.array([w.z for w in omegas])[pick]
+                    new_z[node][sel] = pts[pick, 2]
             xy.update(new_xy)
             z.update(new_z)
             if min(row.inputs) > ZERO_RADIUS and fold_phase(payload.phi) != 0.0:

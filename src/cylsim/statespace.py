@@ -165,8 +165,11 @@ def profile_hull(a: SymmetricStateSpace, b: SymmetricStateSpace) -> SymmetricSta
 
 
 def bisect_bracket(upper, lo, hi, tol):
-    """Halve [lo, hi] to width tol, moving hi to midpoints where the monotone
-    predicate `upper` holds and lo to the others.  Returns (lo, hi)."""
+    """Halve [lo, hi] to width tol (finite and > 0), moving hi to midpoints
+    where the monotone predicate `upper` holds and lo to the others.
+    Returns (lo, hi)."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"bisection width must be finite and > 0, not {tol!r}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if upper(mid):

@@ -59,7 +59,7 @@ def _report(criterion, detail):
 
 
 def test_criterion_1_growth_factor_exactness():
-    lambda_phi(math.pi)  # warm the cache: the budget is for evaluation
+    lambda_phi(math.pi)  # warm up: the budget is for evaluation
     t0 = time.perf_counter()
     value = lambda_phi(math.pi)
     elapsed = time.perf_counter() - t0

@@ -2,11 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cylsim
 from cylsim.cli import main
 
 
@@ -179,6 +184,23 @@ def test_search_space_csv_trail(capsys):
             assert float(r1) <= 1 / (2.0581710272714924 ** 2) + 5e-3
 
 
+@pytest.mark.parametrize("flag", [
+    "--discretization=0", "--discretization=-3", "--search-tol=0",
+    "--search-tol=-1", "--tolerance=-1", "--tolerance=nan"])
+def test_search_space_bad_numbers_rejected(flag):
+    # a child process with a timeout, because a non-positive --search-tol
+    # used to bisect forever
+    src = str(Path(cylsim.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cylsim.cli", "search-space",
+                           "--delta", "3", flag], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("bad input:")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_exact_csv(capsys, tmp_path):
     spec = {
         "version": 1,
@@ -321,6 +343,8 @@ def _without(key, *path):
     _powerlaw(dim=1.0),
     lambda s: s["sampler"].update(discretization=2.7),
     lambda s: s["sampler"].update(tolerance="nan"),
+    lambda s: s["sampler"].update(tolerance=True),
+    lambda s: s["sampler"].update(discretization=-3),
 ], ids=["theta-nan", "theta-inf", "azimuth", "shrink", "phi", "omega",
         "adaptive-angle", "alpha", "time", "nn-phase", "no-samples",
         "empty-object", "array", "no-theta", "no-kind", "short-edge",
@@ -329,7 +353,7 @@ def _without(key, *path):
         "graph-edge-fraction", "gate-edge-fraction", "adaptive-node-fraction",
         "seed-fraction", "samples-fraction", "cutoff-fraction", "cutoff-bool",
         "cutoff-overflow", "dim-float", "discretization-fraction",
-        "tolerance-nan"])
+        "tolerance-nan", "tolerance-bool", "discretization-negative"])
 def test_malformed_spec_rejected(capsys, tmp_path, command, patch):
     spec = _pair_spec()
     replaced = patch(spec)

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from cylsim import decompose, statespace
 from cylsim.bloch import BlochVector, apply_gate_pauli, radius, z_rotate
 from cylsim.decompose import (
-    DecompositionRequest,
+    Decomposition,
     InfeasibleRequest,
     NonExtremalInput,
     closed_form_decomposition,
@@ -67,31 +67,33 @@ def _random_extremal(rng, r):
     return BlochVector(r * math.cos(az), r * math.sin(az), z)
 
 
+def _radii(points):
+    return np.hypot(points[:, 0], points[:, 1])
+
+
 def test_decompose_rejects_non_extremal():
-    req = DecompositionRequest(BlochVector(0.1, 0, 0.5), BlochVector(0.1, 0, 1),
-                               math.pi, 0.3, 0.3)
     with pytest.raises(NonExtremalInput):
-        decompose_gate_output(req)
+        decompose_gate_output(BlochVector(0.1, 0, 0.5), BlochVector(0.1, 0, 1),
+                              math.pi, 0.3, 0.3)
 
 
 def test_hull_membership_product_target():
     v_a, v_b = BlochVector(0.3, 0, 1), BlochVector(0.2, 0, -1)
     target = apply_gate_pauli(0.0, v_a, v_b)
-    feasible, terms, residual = hull_membership(target, 0.3, 0.2, n=40)
+    feasible, d, residual = hull_membership(target, 0.3, 0.2, n=40)
     assert feasible and residual < 1e-9
-    assert len(terms) == 1
-    assert terms[0].weight == pytest.approx(1.0)
+    assert len(d.weights) == 1
+    assert d.weights[0] == pytest.approx(1.0)
 
 
 def test_hull_membership_boundary_feasible():
     for r in (0.1, 0.2):
         target = apply_gate_pauli(math.pi, BlochVector(r, 0, 1), BlochVector(r, 0, 1))
-        feasible, terms, residual = hull_membership(
+        feasible, d, residual = hull_membership(
             target, LAMBDA_CZ * r, LAMBDA_CZ * r, n=40, tol=1e-7)
         assert feasible, f"boundary infeasible at r={r}, residual={residual}"
         assert residual < 1e-7
-        recon = reconstruct(terms)
-        assert np.max(np.abs(recon.m - target.m)) <= 1e-7 + 1e-12
+        assert np.max(np.abs(reconstruct(d) - target.m)) <= 1e-7 + 1e-12
 
 
 def test_hull_membership_infeasible_inside_boundary():
@@ -100,7 +102,7 @@ def test_hull_membership_infeasible_inside_boundary():
     # the analytic predicate rejects first
     assert not lemma1_feasible(GrowthQuery(r / r_out, r / r_out, math.pi))
     target = apply_gate_pauli(math.pi, BlochVector(r, 0, 1), BlochVector(r, 0, 1))
-    feasible, _terms, residual = hull_membership(target, r_out, r_out, n=40)
+    feasible, _d, residual = hull_membership(target, r_out, r_out, n=40)
     assert not feasible
     assert residual > 1e-4
 
@@ -241,43 +243,40 @@ def test_solve_lp_pole_rule_matches_all_column_lp(monkeypatch):
 def test_decompose_fast_path_zero_radius():
     v_a = BlochVector(0, 0, 0.4)  # Z-diagonal, radius 0
     v_b = BlochVector(0.25, 0.1, 1.0)
-    req = DecompositionRequest(v_a, v_b, 1.7, 0.0, radius(v_b))
-    terms = decompose_gate_output(req)
-    assert len(terms) == 2
+    d = decompose_gate_output(v_a, v_b, 1.7, 0.0, radius(v_b))
+    assert len(d.weights) == 2
     target = apply_gate_pauli(1.7, v_a, v_b)
-    assert np.max(np.abs(reconstruct(terms).m - target.m)) < 1e-12
+    assert np.max(np.abs(reconstruct(d) - target.m)) < 1e-12
     # partner radius unchanged
-    for t in terms:
-        assert radius(t.omega_b) == pytest.approx(radius(v_b), abs=1e-12)
+    for r in _radii(d.b):
+        assert r == pytest.approx(radius(v_b), abs=1e-12)
 
 
 def test_decompose_fast_path_pole():
     # pole input gives a single branch
-    req = DecompositionRequest(BlochVector(0, 0, 1.0), BlochVector(0.2, 0, 1),
-                               math.pi, 0.0, 0.2)
-    terms = decompose_gate_output(req)
-    assert len(terms) == 1 and terms[0].weight == 1.0
+    d = decompose_gate_output(BlochVector(0, 0, 1.0), BlochVector(0.2, 0, 1),
+                              math.pi, 0.0, 0.2)
+    assert len(d.weights) == 1 and d.weights[0] == 1.0
 
 
 def test_decompose_identity_gate():
     v_a, v_b = BlochVector(0.3, 0.1, 1), BlochVector(0.2, -0.1, -1)
-    req = DecompositionRequest(v_a, v_b, 0.0, radius(v_a), radius(v_b))
-    terms = decompose_gate_output(req)
-    assert terms == [decompose.DecompositionTerm(1.0, v_a, v_b)]
+    d = decompose_gate_output(v_a, v_b, 0.0, radius(v_a), radius(v_b))
+    assert d.weights.tolist() == [1.0]
+    assert d.a.tolist() == [v_a.to_json()] and d.b.tolist() == [v_b.to_json()]
 
 
 def test_decompose_lp_path_contract():
     r = 0.1
-    req = DecompositionRequest(BlochVector(r, 0, 1), BlochVector(r, 0, 1),
-                               math.pi, LAMBDA_CZ * r, LAMBDA_CZ * r)
-    terms = decompose_gate_output(req)
-    target = apply_gate_pauli(math.pi, req.input_a, req.input_b)
-    assert np.max(np.abs(reconstruct(terms).m - target.m)) <= 1e-12
-    assert sum(t.weight for t in terms) == pytest.approx(1.0, abs=1e-12)
-    for t in terms:
-        assert radius(t.omega_a) <= req.r_out_a + 1e-9
-        assert radius(t.omega_b) <= req.r_out_b + 1e-9
-        assert abs(t.omega_a.z) == pytest.approx(1.0)
+    v = BlochVector(r, 0, 1)
+    d = decompose_gate_output(v, v, math.pi, LAMBDA_CZ * r, LAMBDA_CZ * r)
+    target = apply_gate_pauli(math.pi, v, v)
+    assert np.max(np.abs(reconstruct(d) - target.m)) <= 1e-12
+    assert sum(d.weights) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(_radii(d.a) <= LAMBDA_CZ * r + 1e-9)
+    assert np.all(_radii(d.b) <= LAMBDA_CZ * r + 1e-9)
+    for z in d.a[:, 2]:
+        assert abs(z) == pytest.approx(1.0)
 
 
 def test_decompose_z_covariance():
@@ -301,21 +300,20 @@ def test_decompose_z_covariance():
                           tuple(lam * rng.uniform(1.0, 1.3, 2)))[k % 3]
         v_a, v_b = z_rotate(BlochVector(r_a, 0, z_a), az_a), \
             z_rotate(BlochVector(r_b, 0, z_b), az_b)
-        base = decompose_gate_output(DecompositionRequest(
-            BlochVector(r_a, 0, z_a), BlochVector(r_b, 0, z_b), phi,
-            grow_a * r_a, grow_b * r_b))
-        rotated = decompose_gate_output(DecompositionRequest(
-            v_a, v_b, phi, grow_a * r_a, grow_b * r_b))
-        moved = [decompose.DecompositionTerm(t.weight, z_rotate(t.omega_a, az_a),
-                                             z_rotate(t.omega_b, az_b))
-                 for t in base]
+        base = decompose_gate_output(BlochVector(r_a, 0, z_a), BlochVector(r_b, 0, z_b),
+                                     phi, grow_a * r_a, grow_b * r_b)
+        rotated = decompose_gate_output(v_a, v_b, phi, grow_a * r_a, grow_b * r_b)
+        moved = Decomposition(
+            base.weights,
+            np.array([z_rotate(BlochVector(*p), az_a).as_array() for p in base.a]),
+            np.array([z_rotate(BlochVector(*p), az_b).as_array() for p in base.b]))
         target = apply_gate_pauli(phi, v_a, v_b)
-        assert np.max(np.abs(reconstruct(moved).m - target.m)) <= 1e-12, k
-        assert len(rotated) == len(base)
-        for t, t0 in zip(rotated, moved):
-            assert t.weight == pytest.approx(t0.weight, abs=1e-12)
-            for om, om0 in ((t.omega_a, t0.omega_a), (t.omega_b, t0.omega_b)):
-                assert np.max(np.abs(om.as_array() - om0.as_array())) <= 1e-12, k
+        assert np.max(np.abs(reconstruct(moved) - target.m)) <= 1e-12, k
+        assert len(rotated.weights) == len(base.weights)
+        for i in range(len(moved.weights)):
+            assert rotated.weights[i] == pytest.approx(moved.weights[i], abs=1e-12)
+            for pts, pts0 in ((rotated.a, moved.a), (rotated.b, moved.b)):
+                assert np.max(np.abs(pts[i] - pts0[i])) <= 1e-12, k
 
 
 def test_ledger_decompositions_stable_under_one_ulp():
@@ -325,11 +323,9 @@ def test_ledger_decompositions_stable_under_one_ulp():
     the sign of a rounding-level coupling.  2000 random inputs in all four z
     frames, every fifth with r_a = r_b, phases in (-2 pi, 4 pi)."""
     def table(r_a, r_b, z_a, z_b, phi, lam):
-        terms = decompose_gate_output(DecompositionRequest(
-            BlochVector(r_a, 0, z_a), BlochVector(r_b, 0, z_b), phi,
-            lam * r_a, lam * r_b))
-        return np.array([[t.weight, *t.omega_a.as_array(), *t.omega_b.as_array()]
-                         for t in terms])
+        d = decompose_gate_output(BlochVector(r_a, 0, z_a), BlochVector(r_b, 0, z_b),
+                                  phi, lam * r_a, lam * r_b)
+        return np.column_stack([d.weights, d.a, d.b])
 
     rng = np.random.default_rng(61)
     for k in range(2000):
@@ -349,10 +345,9 @@ def test_ledger_decompositions_stable_under_one_ulp():
 
 def test_decompose_infeasible_raises():
     r = 0.2
-    req = DecompositionRequest(BlochVector(r, 0, 1), BlochVector(r, 0, 1),
-                               math.pi, 0.9 * LAMBDA_CZ * r, 0.9 * LAMBDA_CZ * r)
     with pytest.raises(InfeasibleRequest):
-        decompose_gate_output(req)
+        decompose_gate_output(BlochVector(r, 0, 1), BlochVector(r, 0, 1), math.pi,
+                              0.9 * LAMBDA_CZ * r, 0.9 * LAMBDA_CZ * r)
 
 
 def test_closed_form_matches_lemma1():
@@ -377,20 +372,19 @@ def test_closed_form_matches_lemma1():
             r_out_a, r_out_b = lambda_phi(phi) * r_a, lambda_phi(phi) * r_b
         target = apply_gate_pauli(phi, z_rotate(BlochVector(r_a, 0, z_a), az_a),
                                   z_rotate(BlochVector(r_b, 0, z_b), az_b))
-        feasible, terms, residual = closed_form_decomposition(target, r_out_a,
-                                                              r_out_b)
+        feasible, d, residual = closed_form_decomposition(target, r_out_a, r_out_b)
         query = GrowthQuery(r_a / r_out_a, r_b / r_out_b, phi)
         assert feasible == lemma1_feasible(query), (r_a, r_b, phi, k)
         if not feasible:
             continue
         assert residual <= 1e-12
-        assert 1 <= len(terms) <= 4
-        weights = np.array([t.weight for t in terms])
-        assert np.all(weights >= 0.0) and weights.sum() == pytest.approx(1.0, abs=1e-14)
-        for t in terms:
-            assert radius(t.omega_a) == pytest.approx(r_out_a, abs=1e-12)
-            assert radius(t.omega_b) == pytest.approx(r_out_b, abs=1e-12)
-            assert t.omega_a.z == z_a and t.omega_b.z == z_b
+        assert 1 <= len(d.weights) <= 4
+        assert np.all(d.weights >= 0.0) and d.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        for r in _radii(d.a):
+            assert r == pytest.approx(r_out_a, abs=1e-12)
+        for r in _radii(d.b):
+            assert r == pytest.approx(r_out_b, abs=1e-12)
+        assert np.all(d.a[:, 2] == z_a) and np.all(d.b[:, 2] == z_b)
 
 
 @pytest.mark.parametrize("phi", [1e-13, 1e-10, 1e-8, 2 * math.pi - 1e-9])
@@ -401,10 +395,9 @@ def test_tiny_phase_decomposes_at_ledger_radius(phi):
     folded = min(phi, 2 * math.pi - phi)
     assert lam - 1.0 == pytest.approx((2 * folded ** 2) ** (1 / 3) / 2, rel=1e-3)
     v_a, v_b = BlochVector(0.3, 0, -1), BlochVector(0.0, 0.3, 1)
-    req = DecompositionRequest(v_a, v_b, phi, lam * 0.3, lam * 0.3)
-    terms = decompose_gate_output(req)
+    d = decompose_gate_output(v_a, v_b, phi, lam * 0.3, lam * 0.3)
     target = apply_gate_pauli(phi, v_a, v_b)
-    assert np.max(np.abs(reconstruct(terms).m - target.m)) <= 1e-12
+    assert np.max(np.abs(reconstruct(d) - target.m)) <= 1e-12
 
 
 def test_lp_agreement_with_analytic_minigrid():

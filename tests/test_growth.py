@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cylsim import growth
 from cylsim.growth import (
     LAMBDA_CZ,
     CutoffTooSmall,
@@ -49,9 +50,25 @@ def test_lambda_quarter():
 
 
 def test_lambda_cross_validation_against_bracketed_root():
-    # both branches (Cardano and bracketed) agree with the polynomial oracle
+    # both branches (Cardano and Viete) agree with the polynomial oracle
     for phi in np.linspace(0.05, math.pi, 60):
         assert abs(lambda_phi(phi) - lambda_by_polynomial(phi)) < 1e-12
+
+
+def test_lambda_branches_meet_at_27_over_4():
+    # -mu = 8 sin^2(phi/2) reaches 27/4 at phi0 = 2 asin(sqrt(27/32)), where
+    # q = 3 and lambda = 2: Cardano's form below, Viete's from there on
+    phi0 = 2 * math.asin(math.sqrt(27 / 32))
+    below, above = math.nextafter(phi0, 0.0), math.nextafter(phi0, 4.0)
+    assert 8 * math.sin(below / 2) ** 2 < 27 / 4 <= 8 * math.sin(phi0 / 2) ** 2
+    for phi in (below, phi0, above):
+        assert growth._lambda_folded(phi) == pytest.approx(2.0, abs=1e-15)
+    # on the Viete branch, q = lambda^2 - 1 is a root of q^3 + mu q + mu
+    for phi in np.linspace(phi0, math.pi, 2000):
+        mu = -8.0 * math.sin(phi / 2) ** 2
+        q = growth._lambda_folded(phi) ** 2 - 1.0
+        assert abs(q ** 3 + mu * q + mu) < 1e-13
+    assert growth._lambda_folded(math.pi) == LAMBDA_CZ
 
 
 def test_lambda_symmetry_and_monotone():

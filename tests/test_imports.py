@@ -1,9 +1,15 @@
-"""Design rule: no cylsim module reaches into another one's private names.
+"""Design rules checked on the cylsim sources.
 
-A name with a leading underscore (dunders such as __version__ aside) is an
-implementation detail of its module; anything another module needs is made
-public where it is defined.  The rule covers `from .x import _name` and
-`x._name` on a module bound by `from . import x` or `import cylsim.x`.
+No cylsim module reaches into another one's private names.  A name with a
+leading underscore (dunders such as __version__ aside) is an implementation
+detail of its module; anything another module needs is made public where it
+is defined.  The rule covers `from .x import _name` and `x._name` on a
+module bound by `from . import x` or `import cylsim.x`.
+
+Only `decompose` imports scipy, so the LP solver stays behind one module.
+
+No module memoises with `functools.lru_cache` or `functools.cache`: a
+module-level cache is mutable state shared by every caller.
 """
 
 import ast
@@ -65,3 +71,72 @@ def test_private_import_guard_catches_each_form():
     # dunders, own private names and other packages are allowed
     assert private_imports("from . import __version__\n_local = 1\n"
                            "import numpy as np\nnp._NoValue") == []
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy or one of its submodules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_decompose_imports_scipy():
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if scipy_imports(path.read_text())]
+    assert importers == ["decompose.py"]
+
+
+def test_scipy_guard_catches_each_form():
+    assert scipy_imports("from scipy.optimize import brentq") == [1]
+    assert scipy_imports("import numpy\nimport scipy.linalg as sl") == [2]
+    assert scipy_imports("import os, scipy") == [1]
+    # relative imports and look-alike names are not scipy
+    assert scipy_imports("from .decompose import linprog\nimport scipyx") == []
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def memo_caches(source: str) -> list[str]:
+    """`line name` for every functools.lru_cache or functools.cache the
+    source imports by name or reads off an imported functools module."""
+    tree = ast.parse(source)
+    modules: set[str] = set()  # local names bound to functools
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name in _CACHES]
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "functools"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _CACHES
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_memo_caches():
+    offenders = [f"{path.name}:{hit}" for path in sorted(SRC.glob("*.py"))
+                 for hit in memo_caches(path.read_text())]
+    assert offenders == []
+
+
+def test_memo_cache_guard_catches_each_form():
+    assert memo_caches("from functools import lru_cache") == ["1 lru_cache"]
+    assert memo_caches("from functools import reduce, cache") == ["1 cache"]
+    assert memo_caches("import functools\n@functools.lru_cache(maxsize=8)\n"
+                       "def f(x):\n    return x") == ["2 functools.lru_cache"]
+    assert memo_caches("import functools as ft\nf = ft.cache(len)") == ["2 ft.cache"]
+    # other functools names and other modules' caches are allowed
+    assert memo_caches("import functools\nfunctools.wraps\n"
+                       "from functools import partial\nx.cache") == []

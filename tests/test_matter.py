@@ -6,7 +6,6 @@ import pytest
 from cylsim.experiment import ExperimentSpec, radius_ledger
 from cylsim.growth import LAMBDA_CZ
 from cylsim.matter import (
-    TooLargeForOracle,
     coarse_grain_threshold_1d,
     comb_construction,
     fixed_points,
@@ -16,6 +15,7 @@ from cylsim.matter import (
     steer_max,
     steered_radius,
 )
+from cylsim.oracle import TooManyQubits, exact_distribution
 
 
 def test_steer_max_examples():
@@ -76,9 +76,6 @@ def test_matter_bounds():
     lit = matter_bounds(1, literal_exponent=True)
     assert lit.lower == pytest.approx(LAMBDA_CZ ** -3 / 2, abs=1e-15)
 
-    with_delta = matter_bounds(2, delta_override=4)
-    assert with_delta.lower == pytest.approx(LAMBDA_CZ ** -3 / 2, abs=1e-15)
-
     for dim in range(1, 11):
         b = matter_bounds(dim)
         assert 0 < b.lower <= b.upper <= 0.5
@@ -117,9 +114,9 @@ def test_comb_construction_1d_and_large():
     assert radius_ledger(chain).simulable
 
     big = comb_construction(2, 100)
-    assert len(big.node_ids()) == 10000  # emitted fine without oracle check
-    with pytest.raises(TooLargeForOracle):
-        comb_construction(2, 100, oracle_check=True)
+    assert len(big.node_ids()) == 10000  # emitted fine; the oracle refuses it
+    with pytest.raises(TooManyQubits):
+        exact_distribution(big)
 
     desc = comb_construction(3, 5)
     assert isinstance(desc, str)

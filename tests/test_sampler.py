@@ -11,7 +11,7 @@ from cylsim.bloch import (
     post_measurement_state,
     z_rotate,
 )
-from cylsim.decompose import DecompositionRequest, InfeasibleRequest
+from cylsim.decompose import InfeasibleRequest
 from cylsim.experiment import (
     AdaptiveRule,
     ExperimentSpec,
@@ -127,18 +127,18 @@ def _per_sample_reference(spec):
             if kind == "gate":
                 a, b = payload.edge
                 v_a, v_b = vectors[a], vectors[b]
-                terms = decompose.decompose_gate_output(DecompositionRequest(
+                d = decompose.decompose_gate_output(
                     BlochVector(row.inputs[0], 0.0, v_a.z),
                     BlochVector(row.inputs[1], 0.0, v_b.z),
-                    payload.phi, row.radii[a], row.radii[b]))
-                total, acc, term = sum(t.weight for t in terms), 0.0, terms[-1]
-                for t in terms:
-                    acc += t.weight
+                    payload.phi, row.radii[a], row.radii[b])
+                total, acc, pick = sum(d.weights), 0.0, len(d.weights) - 1
+                for i, w in enumerate(d.weights):
+                    acc += w
                     if u * total < acc:
-                        term = t
+                        pick = i
                         break
-                vectors[a] = z_rotate(term.omega_a, v_a.azimuth())
-                vectors[b] = z_rotate(term.omega_b, v_b.azimuth())
+                vectors[a] = z_rotate(BlochVector(*d.a[pick]), v_a.azimuth())
+                vectors[b] = z_rotate(BlochVector(*d.b[pick]), v_b.azimuth())
             else:
                 m = MeasurementSpec(payload.spec.kind,
                                     resolve_measure_angle(payload, record),
@@ -194,7 +194,7 @@ def test_decompositions_tabulated_once_per_gate_and_z_pair(monkeypatch):
     calls = []
     real = decompose.decompose_gate_output
     monkeypatch.setattr(decompose, "decompose_gate_output",
-                        lambda req: calls.append(req) or real(req))
+                        lambda *args: calls.append(args) or real(*args))
     theta = math.radians(12)
     counts = {}
     for samples in (200, 2000):
