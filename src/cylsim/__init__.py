@@ -8,7 +8,6 @@ from .bloch import (
     BlochVector,
     DiagonalGate,
     MeasurementSpec,
-    PauliCoeffMatrix,
     apply_gate_pauli,
     canonicalize_gate,
     measure_prob,
@@ -19,8 +18,6 @@ from .bloch import (
 )
 from .growth import (
     LAMBDA_CZ,
-    GrowthQuery,
-    PhasePoint,
     PowerLawSpec,
     cz_feasible,
     lambda_phi,
@@ -29,12 +26,7 @@ from .growth import (
     telescoping_family,
     theta_max,
 )
-from .decompose import (
-    Decomposition,
-    decompose_gate_output,
-    hull_membership,
-    reduced_determinant,
-)
+from .decompose import Decomposition, decompose_gate_output, hull_membership
 from .experiment import ExperimentSpec, NodeInput, radius_ledger
 from .sampler import empirical_tv, run_branches
 from .oracle import DenseState, evolve, exact_distribution

@@ -190,54 +190,19 @@ def canonicalize_gate(phi1: float, phi2: float, phi3: float, phi4: float) -> Dia
     )
 
 
-@dataclass(frozen=True)
-class PauliCoeffMatrix:
-    """A normalised two-particle operator as the 4x4 real matrix of Pauli
-    product coefficients, rows/cols indexed over (I, X, Y, Z)."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("PauliCoeffMatrix needs a 4x4 array")
-        if abs(m[0, 0] - 1.0) > 1e-9:
-            raise ValueError("operator must be normalised: m[0][0] = 1")
-        object.__setattr__(self, "m", m)
-
-    def to_dense(self) -> np.ndarray:
-        """The 4x4 complex Hermitian matrix (1/4) sum_ij m_ij sigma_i x sigma_j."""
-        out = np.zeros((4, 4), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                out += self.m[i, j] * np.kron(PAULI[i], PAULI[j])
-        return 0.25 * out
-
-    @classmethod
-    def from_dense(cls, rho: np.ndarray, tol: float = 1e-9) -> "PauliCoeffMatrix":
-        m = np.empty((4, 4))
-        for i in range(4):
-            for j in range(4):
-                c = np.trace(np.kron(PAULI[i], PAULI[j]).conj().T @ rho)
-                if abs(c.imag) > tol:
-                    raise ValueError(f"non-Hermitian input: imag coefficient {c.imag}")
-                m[i, j] = c.real
-        return cls(m)
-
-    @classmethod
-    def from_product(cls, v_a: BlochVector, v_b: BlochVector) -> "PauliCoeffMatrix":
-        return cls(np.outer(v_a.coeffs(), v_b.coeffs()))
-
-    def to_json(self) -> list[float]:
-        return [float(x) for x in self.m.reshape(16)]
-
-    @classmethod
-    def from_json(cls, data) -> "PauliCoeffMatrix":
-        return cls(np.asarray(data, dtype=float).reshape(4, 4))
+def pauli_coeffs(rho: np.ndarray) -> np.ndarray:
+    """The 4x4 real Pauli coefficients tr((sigma_i x sigma_j) rho) of a
+    two-qubit operator, rows/cols indexed over (I, X, Y, Z)."""
+    m = np.empty((4, 4))
+    for i in range(4):
+        for j in range(4):
+            m[i, j] = np.real(np.trace(np.kron(PAULI[i], PAULI[j]) @ rho))
+    return m
 
 
-def apply_gate_pauli(phi: float, v_a: BlochVector, v_b: BlochVector) -> PauliCoeffMatrix:
-    """Pauli coefficients of V_phi (rho_A x rho_B) V_phi^dag for a product input.
+def apply_gate_pauli(phi: float, v_a: BlochVector, v_b: BlochVector) -> np.ndarray:
+    """The 4x4 Pauli coefficients of V_phi (rho_A x rho_B) V_phi^dag for a
+    product input, rows/cols indexed over (I, X, Y, Z).
 
     Computed in closed form from the sector structure of the diagonal gate:
     the (I,Z)x(I,Z) block is invariant, a coherent particle's xy-vector is
@@ -274,4 +239,4 @@ def apply_gate_pauli(phi: float, v_a: BlochVector, v_b: BlochVector) -> PauliCoe
     out[1, 2] = c2p - c4
     out[2, 1] = c2p + c4
     out[2, 2] = c3 - c1p
-    return PauliCoeffMatrix(out)
+    return out

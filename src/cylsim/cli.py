@@ -22,7 +22,6 @@ from . import __version__
 from .decompose import EXACT_TOL, InfeasibleRequest, SolverFailure
 from .experiment import ExperimentSpec
 from .growth import (
-    GrowthQuery,
     PowerLawSpec,
     cz_feasible,
     lambda_phi,
@@ -54,10 +53,33 @@ EXIT_BAD_INPUT = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 4."""
+    """argparse that reports usage problems as bad input: exit code 4 and
+    one stderr line in the format of main's own bad-input line."""
 
     def error(self, message):
-        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_BAD_INPUT, f"bad input: {self.prog}: {message}\n")
+
+
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, not {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type of the point, dimension and step counts: at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, not {text!r}")
+    return value
 
 
 def _header(**kv) -> str:
@@ -83,7 +105,8 @@ def _csv(header_line: str, columns: list[str], rows) -> str:
 
 
 def _json_doc(meta: dict, body: dict) -> str:
-    return json.dumps({"meta": meta, **body}, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"meta": meta, **body}, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def cmd_growth(args) -> int:
@@ -263,8 +286,7 @@ def cmd_eval(args) -> int:
     if op == "lambda":
         result = {"lambda": lambda_phi(args.phi)}
     elif op == "lemma1":
-        result = {"feasible": lemma1_feasible(
-            GrowthQuery(args.fa, args.fb, args.phi))}
+        result = {"feasible": lemma1_feasible(args.fa, args.fb, args.phi)}
     elif op == "cz":
         result = {"feasible": cz_feasible(args.fa, args.fb)}
     elif op == "theta-max":
@@ -294,26 +316,26 @@ def build_parser() -> _Parser:
         sp.add_argument("--output", default=None, help="output path (default stdout)")
 
     g = sub.add_parser("growth", help="growth factor curve lambda(phi)")
-    g.add_argument("--points", type=int, default=100)
+    g.add_argument("--points", type=_count, default=100)
     add_output(g)
     g.set_defaults(fn=cmd_growth)
 
     pd = sub.add_parser("phase-diagram", help="simulability boundary theta(phi)")
     pd.add_argument("--delta", type=int, required=True)
-    pd.add_argument("--points", type=int, default=50)
-    pd.add_argument("--temperature", type=float, default=0.0)
+    pd.add_argument("--points", type=_count, default=50)
+    pd.add_argument("--temperature", type=_finite, default=0.0)
     add_output(pd)
     pd.set_defaults(fn=cmd_phase_diagram)
 
     lr = sub.add_parser("longrange", help="power-law growth sums and the "
                                           "telescoping-family sweep")
-    lr.add_argument("--alpha", type=float, required=True)
-    lr.add_argument("--alpha-max", type=float, default=None,
+    lr.add_argument("--alpha", type=_finite, required=True)
+    lr.add_argument("--alpha-max", type=_finite, default=None,
                     help="sweep up to this alpha (CSV of telescoping thetas)")
-    lr.add_argument("--points", type=int, default=50)
+    lr.add_argument("--points", type=_count, default=50)
     lr.add_argument("--dim", type=int, default=1)
-    lr.add_argument("--time", type=float, default=1.0)
-    lr.add_argument("--nn-phase", type=float, default=None)
+    lr.add_argument("--time", type=_finite, default=1.0)
+    lr.add_argument("--nn-phase", type=_finite, default=None)
     lr.add_argument("--cutoff", type=int, default=100000)
     add_output(lr)
     lr.set_defaults(fn=cmd_longrange)
@@ -335,17 +357,17 @@ def build_parser() -> _Parser:
     ver.set_defaults(fn=cmd_verify)
 
     th = sub.add_parser("thresholds", help="matter existence bounds per dimension")
-    th.add_argument("--max-dim", type=int, default=6)
+    th.add_argument("--max-dim", type=_count, default=6)
     th.add_argument("--literal-exponent", action="store_true")
     add_output(th)
     th.set_defaults(fn=cmd_thresholds)
 
     ss = sub.add_parser("search-space", help="B-space vs cylinder input radius")
     ss.add_argument("--delta", type=int, required=True)
-    ss.add_argument("--phi", type=float, default=math.pi)
+    ss.add_argument("--phi", type=_finite, default=math.pi)
     ss.add_argument("--discretization", type=int, default=40)
-    ss.add_argument("--tolerance", type=float, default=1e-7)
-    ss.add_argument("--search-tol", type=float, default=1e-4)
+    ss.add_argument("--tolerance", type=_finite, default=1e-7)
+    ss.add_argument("--search-tol", type=_finite, default=1e-4)
     ss.add_argument("--format", choices=("json", "csv"), default="json")
     add_output(ss)
     ss.set_defaults(fn=cmd_search_space)
@@ -356,9 +378,9 @@ def build_parser() -> _Parser:
     ex.set_defaults(fn=cmd_exact)
 
     rc = sub.add_parser("recursion", help="steering recursion trajectory (CSV)")
-    rc.add_argument("--radius", type=float, required=True)
-    rc.add_argument("--start", type=float, required=True)
-    rc.add_argument("--steps", type=int, default=10000)
+    rc.add_argument("--radius", type=_finite, required=True)
+    rc.add_argument("--start", type=_finite, required=True)
+    rc.add_argument("--steps", type=_count, default=10000)
     add_output(rc)
     rc.set_defaults(fn=cmd_recursion)
 
@@ -367,12 +389,12 @@ def build_parser() -> _Parser:
                     choices=("lambda", "lemma1", "cz", "theta-max",
                              "telescoping", "steer-max", "fixed-points",
                              "coarse-grain"))
-    ev.add_argument("--phi", type=float, default=math.pi)
-    ev.add_argument("--fa", type=float, default=0.0)
-    ev.add_argument("--fb", type=float, default=0.0)
+    ev.add_argument("--phi", type=_finite, default=math.pi)
+    ev.add_argument("--fa", type=_finite, default=0.0)
+    ev.add_argument("--fb", type=_finite, default=0.0)
     ev.add_argument("--delta", type=int, default=2)
-    ev.add_argument("--temperature", type=float, default=0.0)
-    ev.add_argument("--alpha", type=float, default=3.0)
+    ev.add_argument("--temperature", type=_finite, default=0.0)
+    ev.add_argument("--alpha", type=_finite, default=3.0)
     add_output(ev)
     ev.set_defaults(fn=cmd_eval)
     return p

@@ -26,15 +26,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .bloch import (
-    PAULI,
-    ZERO_RADIUS,
-    BlochVector,
-    PauliCoeffMatrix,
-    apply_gate_pauli,
-    radius,
-)
-from .growth import GrowthQuery, fold_phase, lemma1_feasible, lemma1_lhs
+from .bloch import PAULI, ZERO_RADIUS, BlochVector, apply_gate_pauli, radius
+from .growth import fold_phase, lemma1_feasible
 
 _WEIGHT_EPS = 1e-12
 # Closed form: eigenvalue clamp and largest accepted coefficient residual.
@@ -59,16 +52,11 @@ class NonExtremalInput(ValueError):
     """The closed form needs extremal inputs (z = +-1) on coherent gates."""
 
 
-def reduced_determinant(f_a: float, f_b: float, phi: float) -> float:
-    """Determinant of the reduced two-qubit coupling operator, equal to the
-    separability inequality's left side.  Sign decides separability only for
-    f_a, f_b < 1 (one eigenvalue at most can be negative there)."""
-    return lemma1_lhs(f_a, f_b, phi)
-
-
 def coupling_operator(f_a: float, f_b: float, phi: float) -> np.ndarray:
-    """The explicit 4x4 operator whose determinant reduced_determinant
-    computes: (I + fA X)(x)(I + fB X) plus the phase coupling on |00><11|."""
+    """The reduced two-qubit coupling operator (I + fA X)(x)(I + fB X) plus
+    the phase coupling on |00><11|.  Its determinant is growth.lemma1_lhs,
+    whose sign decides separability for f_a, f_b < 1 (one eigenvalue at most
+    can be negative there)."""
     X = np.array([[0, 1], [1, 0]], dtype=complex)
     op = np.kron(np.eye(2) + f_a * X, np.eye(2) + f_b * X).astype(complex)
     g = f_a * f_b * (np.exp(-1j * phi) - 1.0)
@@ -134,7 +122,7 @@ def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
     Caves, Fuchs & Rungta, Found. Phys. Lett. 14, 199 (2001)): Givens-rotate
     its sqrt(eigenvalue)-scaled eigenvectors to zero Y(x)Y expectation each,
     then factor each as a (x) b."""
-    m = target.m if isinstance(target, PauliCoeffMatrix) else np.asarray(target)
+    m = np.asarray(target)
     z_a, z_b = m[3, 0], m[0, 3]
     block = m[:3, :3] / np.outer([1.0, r_out_a, r_out_a], [1.0, r_out_b, r_out_b])
     rho = np.einsum("ij,iac,jbd->abcd", block, _REBIT, _REBIT).reshape(4, 4)
@@ -309,14 +297,14 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
         half_step /= 2.0
 
 
-def hull_membership(target: PauliCoeffMatrix, r_a: float, r_b: float,
+def hull_membership(target: np.ndarray, r_a: float, r_b: float,
                     n: int = 40, tol: float = 1e-7, refine_rounds: int = 6):
-    """LP convex-hull membership of a normalised two-particle operator in the
-    separable hull over Cyl(r_a) x Cyl(r_b) extrema discretized at N azimuths
-    per circle.  Returns (feasible, Decomposition, residual)."""
-    m = target.m if isinstance(target, PauliCoeffMatrix) else np.asarray(target)
+    """LP convex-hull membership of a normalised two-particle operator, given
+    as its 4x4 Pauli coefficients, in the separable hull over Cyl(r_a) x
+    Cyl(r_b) extrema discretized at N azimuths per circle.  Returns
+    (feasible, Decomposition, residual)."""
     residual, d = decompose_over_circles(
-        m, [(-1.0, r_a), (1.0, r_a)], [(-1.0, r_b), (1.0, r_b)], n, tol,
+        target, [(-1.0, r_a), (1.0, r_a)], [(-1.0, r_b), (1.0, r_b)], n, tol,
         refine_rounds)
     return residual <= tol, d, residual
 
@@ -341,11 +329,11 @@ def decompose_gate_output(v_a: BlochVector, v_b: BlochVector, phi: float,
     azimuth.  lemma1_feasible decides feasibility; a closed-form residual
     above 1e-12 raises SolverFailure."""
     r_a, r_b = radius(v_a), radius(v_b)
-    query = GrowthQuery(_ratio(r_a, r_out_a), _ratio(r_b, r_out_b), phi)
-    if not lemma1_feasible(query):
+    f_a, f_b = _ratio(r_a, r_out_a), _ratio(r_b, r_out_b)
+    if not lemma1_feasible(f_a, f_b, phi):
         raise InfeasibleRequest(
-            f"no separable decomposition for f_a={query.f_a:.6g}, "
-            f"f_b={query.f_b:.6g}, phi={phi:.6g}")
+            f"no separable decomposition for f_a={f_a:.6g}, "
+            f"f_b={f_b:.6g}, phi={phi:.6g}")
 
     if fold_phase(phi) == 0.0:
         return Decomposition(np.ones(1), v_a.as_array()[None], v_b.as_array()[None])
@@ -370,6 +358,7 @@ def decompose_gate_output(v_a: BlochVector, v_b: BlochVector, phi: float,
     _psd, d, residual = closed_form_decomposition(target, r_out_a, r_out_b)
     if residual > EXACT_TOL:
         raise SolverFailure(f"closed-form residual {residual:.3e} exceeds "
-                            f"{EXACT_TOL:.0e} for {query}")
+                            f"{EXACT_TOL:.0e} for f_a={f_a!r}, f_b={f_b!r}, "
+                            f"phi={phi!r}")
     return Decomposition(d.weights, _z_turn(d.a, v_a.azimuth()),
                          _z_turn(d.b, v_b.azimuth()))

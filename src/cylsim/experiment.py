@@ -335,13 +335,12 @@ class LedgerRow:
 @dataclass
 class LedgerResult:
     trace: list[LedgerRow]
-    verdict: str  # "simulable" | "infeasible"
-    infeasible_step: int | None
+    infeasible_step: int | None  # the first measurement of a radius above 1
     final_radii: dict[int, float]
 
     @property
     def simulable(self) -> bool:
-        return self.verdict == "simulable"
+        return self.infeasible_step is None
 
 
 def radius_ledger(spec: ExperimentSpec) -> LedgerResult:
@@ -357,7 +356,7 @@ def radius_ledger(spec: ExperimentSpec) -> LedgerResult:
     """
     radii = {node: spec.inputs[node].radius() for node in spec.node_ids()}
     trace: list[LedgerRow] = []
-    verdict, bad_step = "simulable", None
+    bad_step = None
     for step, (kind, payload) in enumerate(spec.timeline()):
         if kind == "gate":
             a, b = payload.edge
@@ -370,9 +369,8 @@ def radius_ledger(spec: ExperimentSpec) -> LedgerResult:
                                    inputs))
         else:
             node = payload.node
-            ok = radii[node] <= 1.0 + LEDGER_SLACK
             trace.append(LedgerRow(step, "measure", {node: radii[node]}))
-            if not ok and verdict == "simulable":
-                verdict, bad_step = "infeasible", step
+            if bad_step is None and not radii[node] <= 1.0 + LEDGER_SLACK:
+                bad_step = step
             radii[node] = 0.0
-    return LedgerResult(trace, verdict, bad_step, radii)
+    return LedgerResult(trace, bad_step, radii)

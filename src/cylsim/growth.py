@@ -81,36 +81,29 @@ def lemma1_lhs(f_a: float, f_b: float, phi: float) -> float:
             + 2.0 * (2.0 - s) * (a2 * b2) * c)
 
 
-@dataclass(frozen=True)
-class GrowthQuery:
-    """Radius ratios f = r/R for both sides plus the gate phase."""
-
-    f_a: float
-    f_b: float
-    phi: float
-
-    def __post_init__(self):
-        if self.f_a < 0 or self.f_b < 0:
-            raise ValueError("radius ratios must be >= 0")
+# Slack of the separability tests on the boundary, where the left side is 0.
+_FEASIBLE_TOL = 1e-12
 
 
-def lemma1_feasible(q: GrowthQuery, tol: float = 1e-12) -> bool:
+def lemma1_feasible(f_a: float, f_b: float, phi: float) -> bool:
     """Whether the gate output on Cyl(r_A) x Cyl(r_B) extrema is separable
-    w.r.t. Cyl(R_A) x Cyl(R_B), given f = r/R ratios.
+    w.r.t. Cyl(R_A) x Cyl(R_B), given the radius ratios f = r/R >= 0.
 
     Zero-radius inputs and the identity gate are separable whenever the
     cylinders do not shrink; otherwise both ratios must be strictly below 1
     and the quartic inequality must hold."""
-    if q.f_a == 0.0 or q.f_b == 0.0 or fold_phase(q.phi) == 0.0:
-        return q.f_a <= 1.0 + tol and q.f_b <= 1.0 + tol
-    if q.f_a >= 1.0 or q.f_b >= 1.0:
+    if f_a < 0 or f_b < 0:
+        raise ValueError("radius ratios must be >= 0")
+    if f_a == 0.0 or f_b == 0.0 or fold_phase(phi) == 0.0:
+        return f_a <= 1.0 + _FEASIBLE_TOL and f_b <= 1.0 + _FEASIBLE_TOL
+    if f_a >= 1.0 or f_b >= 1.0:
         return False
-    return lemma1_lhs(q.f_a, q.f_b, q.phi) >= -tol
+    return lemma1_lhs(f_a, f_b, phi) >= -_FEASIBLE_TOL
 
 
-def cz_feasible(f_a: float, f_b: float, tol: float = 1e-12) -> bool:
+def cz_feasible(f_a: float, f_b: float) -> bool:
     """CZ-specific separability test: 1 >= (fA + fB)^2 + fA^2 fB^2."""
-    return (f_a + f_b) ** 2 + (f_a * f_b) ** 2 <= 1.0 + tol
+    return (f_a + f_b) ** 2 + (f_a * f_b) ** 2 <= 1.0 + _FEASIBLE_TOL
 
 
 def thermal_excitation(temperature: float) -> float:
@@ -130,31 +123,11 @@ def theta_max(phi: float, delta: int, temperature: float = 0.0) -> float:
     if delta < 0:
         raise ValueError("delta must be >= 0")
     shrink = 1.0 - 2.0 * thermal_excitation(temperature)
-    arg = lambda_phi(phi) ** (-delta) / shrink
-    if arg >= 1.0:
+    # compared before dividing: at huge temperatures shrink rounds to 0
+    sin_theta = lambda_phi(phi) ** (-delta)
+    if sin_theta >= shrink:
         return math.pi / 2.0
-    return math.asin(arg)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point of the (theta, phi) phase diagram at graph degree delta and
-    temperature T."""
-
-    theta: float
-    phi: float
-    delta: int
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 2.0:
-            raise ValueError("theta must lie in [0, pi/2]")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        thermal_excitation(self.temperature)  # domain check
-
-    def simulable(self) -> bool:
-        return self.theta <= theta_max(self.phi, self.delta, self.temperature)
+    return math.asin(sin_theta / shrink)
 
 
 @dataclass(frozen=True)
@@ -250,10 +223,11 @@ class TelescopingFamily(NamedTuple):
 
 def telescoping_family(alpha: float) -> TelescopingFamily:
     """Explicit 1D family with CZ nearest-neighbour gate whose growth product
-    telescopes: p = 2*alpha/3 - 1, c = 2^p ln(lambda_CZ) / (2^p - 1),
+    telescopes: p = 2*alpha/3 - 1, c = ln(lambda_CZ) / (1 - 2^-p) (that is,
+    2^p ln(lambda_CZ) / (2^p - 1), which overflows for p >= 1024),
     r0 = exp(-2c)."""
     if alpha <= 1.5:
         raise ValueError("telescoping family needs alpha > 3/2")
     p = 2.0 * alpha / 3.0 - 1.0
-    c = 2.0 ** p * math.log(LAMBDA_CZ) / (2.0 ** p - 1.0)
+    c = math.log(LAMBDA_CZ) / (1.0 - 2.0 ** -p)
     return TelescopingFamily(p, c, math.exp(-2.0 * c))

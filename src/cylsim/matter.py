@@ -48,6 +48,10 @@ def fixed_points(r: float) -> set[float]:
     return {(1.0 - root) / 2.0, (1.0 + root) / 2.0}
 
 
+# Successive recursion values closer than this count as converged.
+_CONVERGED_STEP = 1e-12
+
+
 class RecursionResult(NamedTuple):
     trajectory: np.ndarray
     verdict: str  # "converged" | "diverged" | "undecided"
@@ -55,13 +59,12 @@ class RecursionResult(NamedTuple):
     step: int | None  # divergence step when diverged
 
 
-def iterate_recursion(r: float, r1: float, steps: int = 1_000_000,
-                      atol: float = 1e-12) -> RecursionResult:
+def iterate_recursion(r: float, r1: float, steps: int = 1_000_000) -> RecursionResult:
     """Iterate the steering recursion R <- r / (1 - R).
 
     Divergence is declared as soon as R >= 1 (the radius leaves the dual of
     the permitted measurements); convergence when successive values differ by
-    less than atol."""
+    less than 1e-12."""
     if r < 0 or r1 < 0:
         raise ValueError("radii must be >= 0")
     traj = [r1]
@@ -71,7 +74,7 @@ def iterate_recursion(r: float, r1: float, steps: int = 1_000_000,
             return RecursionResult(np.array(traj), "diverged", None, k - 1)
         nxt = r / (1.0 - current)
         traj.append(nxt)
-        if abs(nxt - current) < atol:
+        if abs(nxt - current) < _CONVERGED_STEP:
             return RecursionResult(np.array(traj), "converged", nxt, None)
         current = nxt
     if current >= 1.0:

@@ -13,9 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PAULI, BlochVector, DiagonalGate, MeasurementSpec
+from .bloch import BlochVector, DiagonalGate, MeasurementSpec, pauli_coeffs
 
 MAX_QUBITS = 10
+# Outcome-tree branches with probability at or below this are dropped, and
+# their mass is reported.
+PRUNE = 1e-15
+# Smallest eigenvalue `DenseState.validate` accepts as rounding.
+_MIN_EIGENVALUE = -1e-9
 
 
 class TooManyQubits(ValueError):
@@ -46,13 +51,13 @@ class DenseState:
             rho = np.kron(rho, v.dense())
         return cls(len(vectors), rho)
 
-    def validate(self, psd_tol: float = -1e-9):
+    def validate(self):
         """Check trace, Hermiticity, and (for quantum inputs) positivity."""
         if abs(np.trace(self.rho) - 1.0) > 1e-10:
             raise ValueError("trace deviates from 1")
         if np.max(np.abs(self.rho - self.rho.conj().T)) > 1e-10:
             raise ValueError("rho is not Hermitian")
-        if np.linalg.eigvalsh(self.rho).min() < psd_tol:
+        if np.linalg.eigvalsh(self.rho).min() < _MIN_EIGENVALUE:
             raise ValueError("rho has a significant negative eigenvalue")
 
     def pauli_coeff(self, qubit_i: int, qubit_j: int) -> np.ndarray:
@@ -61,11 +66,7 @@ class DenseState:
         reduced = _partial_trace_keep(self.rho, self.n, keep)
         if keep[0] == qubit_j:  # restore requested order
             reduced = _swap_two_qubit(reduced)
-        m = np.empty((4, 4))
-        for a in range(4):
-            for b in range(4):
-                m[a, b] = np.real(np.trace(np.kron(PAULI[a], PAULI[b]) @ reduced))
-        return m
+        return pauli_coeffs(reduced)
 
 
 def _swap_two_qubit(rho4: np.ndarray) -> np.ndarray:
@@ -137,15 +138,15 @@ def _trace_subscripts(layout) -> str:
     return "".join(chr(97 + k) * w for k, (_, w) in enumerate(layout)) + "->"
 
 
-def exact_distribution(spec, prune: float = 1e-15) -> ExactDistribution:
+def exact_distribution(spec) -> ExactDistribution:
     """Walk the full outcome tree of an experiment's schedule.
 
     Gates and measurements follow the experiment timeline.  Measurement
     projectors are rank 1, so a measurement contracts the qubit's two axes
     with the projector P and its probability is the trace of the result; a
     quasi-destructive measurement leaves the qubit as one axis weighted by
-    diag(P), a destructive one drops it.  Branches below the prune threshold
-    are dropped and their mass reported."""
+    diag(P), a destructive one drops it.  Branches of probability at most
+    PRUNE are dropped and their mass reported."""
     from .experiment import ExperimentSpec, resolve_measure_angle  # cycle guard
 
     assert isinstance(spec, ExperimentSpec)
@@ -180,7 +181,7 @@ def exact_distribution(spec, prune: float = 1e-15) -> ExactDistribution:
                 # sum over (row, column) of rho[r, c] P[c, r]: tr_q(P rho)
                 sub = np.einsum("ikj,k->ij", grouped, proj.T.ravel())
                 p = float(np.einsum(trace, sub.reshape((2,) * (tensor.ndim - 2))).real)
-                if p <= prune:
+                if p <= PRUNE:
                     if p > 0:
                         pruned += prob * p
                     continue

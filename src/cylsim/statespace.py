@@ -27,6 +27,10 @@ from .decompose import decompose_over_circles, solve_lp
 from .growth import lambda_phi
 
 _PROFILE_TOL = 1e-12
+# Slack of `SymmetricStateSpace.contains` in z and in radius.
+_CONTAINS_TOL = 1e-9
+# `bisect_min_radius` gives up once its doubled upper bracket exceeds this.
+_HI_MAX = 64.0
 # B-space CSV rows: azimuths per circle and bisection width of each row's
 # minimal output radius.
 _ROW_RADIUS_N = 24
@@ -66,10 +70,6 @@ class SymmetricStateSpace:
         object.__setattr__(self, "profile", prof)
 
     @property
-    def breakpoints(self) -> tuple[tuple[float, float], ...]:
-        return self.profile
-
-    @property
     def radius(self) -> float:
         """Radius of the smallest enclosing cylinder."""
         return max(r for _, r in self.profile)
@@ -91,18 +91,11 @@ class SymmetricStateSpace:
         t = (z - z1) / (z2 - z1)
         return (1.0 - t) * r1 + t * r2
 
-    def contains(self, v: BlochVector, tol: float = 1e-9) -> bool:
+    def contains(self, v: BlochVector) -> bool:
         lo, hi = self.z_extent()
-        if v.z < lo - tol or v.z > hi + tol:
+        if v.z < lo - _CONTAINS_TOL or v.z > hi + _CONTAINS_TOL:
             return False
-        return radius(v) <= self.radius_at(min(max(v.z, lo), hi)) + tol
-
-    def to_json(self) -> list[list[float]]:
-        return [[z, r] for z, r in self.profile]
-
-    @classmethod
-    def from_json(cls, data) -> "SymmetricStateSpace":
-        return cls(tuple((float(z), float(r)) for z, r in data))
+        return radius(v) <= self.radius_at(min(max(v.z, lo), hi)) + _CONTAINS_TOL
 
 
 def cylinder(r: float) -> SymmetricStateSpace:
@@ -124,16 +117,13 @@ def b_space(r: float, h: float) -> SymmetricStateSpace:
     return SymmetricStateSpace(((-1.0, 0.0), (-h, r), (h, r), (1.0, 0.0)))
 
 
-def symmetrize(points) -> SymmetricStateSpace:
+def symmetrize(points: list[BlochVector]) -> SymmetricStateSpace:
     """Revolve a finite point set about the z axis and take the convex hull.
 
     The hull of circles (z_i, rho_i) has radial profile equal to the concave
     upper envelope of those pairs over [min z, max z]; no poles are added
     beyond the input points."""
-    pairs = []
-    for p in points:
-        v = p if isinstance(p, BlochVector) else BlochVector(*p)
-        pairs.append((v.z, radius(v)))
+    pairs = [(v.z, radius(v)) for v in points]
     if not pairs:
         raise ValueError("need at least one point")
     # max radius per z, sorted
@@ -179,7 +169,7 @@ def bisect_bracket(upper, lo, hi, tol):
     return lo, hi
 
 
-def bisect_min_radius(feasible, tol, hi_start=1.0, hi_max=64.0):
+def bisect_min_radius(feasible, tol, hi_start=1.0):
     """Smallest radius accepted by a monotone feasibility predicate, by
     doubling to find an upper bracket and then bisecting.  Returns the
     feasible endpoint of the final bracket."""
@@ -187,8 +177,8 @@ def bisect_min_radius(feasible, tol, hi_start=1.0, hi_max=64.0):
     while not feasible(hi):
         lo = hi
         hi *= 2.0
-        if hi > hi_max:
-            raise NoUpperBracket(f"infeasible at radius {hi_max}")
+        if hi > _HI_MAX:
+            raise NoUpperBracket(f"infeasible at radius {_HI_MAX}")
     return bisect_bracket(feasible, lo, hi, tol)[1]
 
 
@@ -198,9 +188,9 @@ def _gate_targets(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
     inputs, the breakpoint circles at azimuth 0 (diagonal-unitary invariance
     lets every other azimuth follow by Z-rotation)."""
     return [apply_gate_pauli(phi, BlochVector(r_a, 0.0, z_a),
-                             BlochVector(r_b, 0.0, z_b)).m
-            for z_a, r_a in space_a.breakpoints
-            for z_b, r_b in space_b.breakpoints]
+                             BlochVector(r_b, 0.0, z_b))
+            for z_a, r_a in space_a.profile
+            for z_b, r_b in space_b.profile]
 
 
 def _fits(target, circles_a, circles_b, n: int, lp_tol: float) -> bool:
@@ -231,8 +221,8 @@ def r_star(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
     targets = _gate_targets(space_a, space_b, phi)
 
     def feasible(r):
-        return all(_fits(_phased_target(t, 1.0 / r), space_a.breakpoints,
-                         space_b.breakpoints, n, lp_tol) for t in targets)
+        return all(_fits(_phased_target(t, 1.0 / r), space_a.profile,
+                         space_b.profile, n, lp_tol) for t in targets)
 
     return bisect_min_radius(feasible, tol, hi_start=1.0)
 
@@ -246,7 +236,7 @@ def min_output_radius(space_a: SymmetricStateSpace,
     targets = _gate_targets(space_a, space_b, phi)
 
     def feasible(r):
-        circles = cylinder(r).breakpoints
+        circles = cylinder(r).profile
         return all(_fits(t, circles, circles, n, lp_tol) for t in targets)
 
     hi_start = max(space_a.radius, space_b.radius, 1e-6)
@@ -255,22 +245,18 @@ def min_output_radius(space_a: SymmetricStateSpace,
 
 def r_star_point_set(points_a, points_b, phi: float, tol: float = 1e-3,
                      lp_tol: float = 1e-7, reps_a=None, reps_b=None) -> float:
-    """R* over raw finite point sets: inputs and decomposition candidates are
-    exactly the given points (their convex hull is the state space).
+    """R* over raw finite point sets, lists of BlochVector: inputs and
+    decomposition candidates are exactly the given points (their convex hull
+    is the state space).
 
     When the point sets are invariant under a discrete Z-rotation group,
     `reps_a`/`reps_b` may list one input representative per orbit; rotated
     inputs then decompose by rotating a representative's decomposition."""
-    def as_array(points):
-        return np.array([[p.x, p.y, p.z] if isinstance(p, BlochVector)
-                         else list(p) for p in points])
-
-    pts_a, pts_b = as_array(points_a), as_array(points_b)
-    in_a = pts_a if reps_a is None else as_array(reps_a)
-    in_b = pts_b if reps_b is None else as_array(reps_b)
-
-    targets = [apply_gate_pauli(phi, BlochVector(*pa), BlochVector(*pb)).m
-               for pa in in_a for pb in in_b]
+    pts_a = np.array([p.as_array() for p in points_a])
+    pts_b = np.array([p.as_array() for p in points_b])
+    targets = [apply_gate_pauli(phi, v_a, v_b)
+               for v_a in (points_a if reps_a is None else reps_a)
+               for v_b in (points_b if reps_b is None else reps_b)]
 
     def feasible(r):
         return all(solve_lp(pts_a, pts_b, _phased_target(t, 1.0 / r).reshape(16))[0]
@@ -283,7 +269,7 @@ def _bspace_first_gate_feasible(r, r_target, phi, n, lp_tol):
     if r >= 1.0:
         return False
     space = b_space(r, math.sqrt(1.0 - r * r))
-    circles = cylinder(r_target).breakpoints
+    circles = cylinder(r_target).profile
     return all(_fits(t, circles, circles, n, lp_tol)
                for t in _gate_targets(space, space, phi))
 
@@ -354,7 +340,7 @@ def lemma8_audit(space: SymmetricStateSpace, phi: float, n: int = 40,
     cylinder's phasing growth.  Spaces with zero radius at both poles are
     outside the statement and are reported, not asserted."""
     touches = any(abs(abs(z) - 1.0) <= _PROFILE_TOL and r > 0.0
-                  for z, r in space.breakpoints)
+                  for z, r in space.profile)
     if not touches:
         return Lemma8Report(False, None, None, None,
                             "no breakpoint with |z| = 1 and radius > 0; "

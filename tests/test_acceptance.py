@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cylsim.bloch import BlochVector, MeasurementSpec, apply_gate_pauli
-from cylsim.decompose import coupling_operator, hull_membership, reduced_determinant
+from cylsim.decompose import coupling_operator, hull_membership
 from cylsim.experiment import (
     AdaptiveRule,
     ExperimentSpec,
@@ -23,7 +23,6 @@ from cylsim.experiment import (
 )
 from cylsim.growth import (
     LAMBDA_CZ,
-    GrowthQuery,
     PowerLawSpec,
     lambda_phi,
     lemma1_feasible,
@@ -86,7 +85,7 @@ def test_criterion_2_boundary_consistency():
         f_a, f_b = rng.uniform(0.0, 1.2, 2)
         phi = rng.uniform(0.01, 2 * math.pi - 0.01)
         numeric = np.linalg.det(coupling_operator(f_a, f_b, phi)).real
-        worst_det = max(worst_det, abs(reduced_determinant(f_a, f_b, phi) - numeric))
+        worst_det = max(worst_det, abs(lemma1_lhs(f_a, f_b, phi) - numeric))
     elapsed = time.perf_counter() - t0
     assert worst_det < 1e-9
     assert elapsed < 1.0
@@ -108,14 +107,14 @@ def test_criterion_3_lp_matches_analytic():
                                           BlochVector(f_b, 0, 1))
                 feasible, _t, _r = hull_membership(target, 1.0, 1.0, n=n,
                                                    tol=1e-7, refine_rounds=0)
-                analytic = lemma1_feasible(GrowthQuery(f_a, f_b, phi))
+                analytic = lemma1_feasible(f_a, f_b, phi)
                 checked += 1
                 if feasible and not analytic:
                     pytest.fail(f"LP over-approximates the hull at "
                                 f"({f_a:.3f}, {f_b:.3f}, {phi:.3f})")
                 if feasible != analytic:
                     disagreements += 1
-                    assert abs(reduced_determinant(f_a, f_b, phi)) < band, (
+                    assert abs(lemma1_lhs(f_a, f_b, phi)) < band, (
                         f"disagreement outside the boundary band at "
                         f"({f_a:.3f}, {f_b:.3f}, {phi:.3f})")
     elapsed = time.perf_counter() - t0

@@ -7,11 +7,11 @@ from cylsim.bloch import (
     BlochVector,
     DiagonalGate,
     MeasurementSpec,
-    PauliCoeffMatrix,
     RadiusDomainError,
     apply_gate_pauli,
     canonicalize_gate,
     measure_prob,
+    pauli_coeffs,
     phasing,
     post_measurement_state,
     radius,
@@ -23,7 +23,7 @@ def dense_gate_output(phi, v_a, v_b):
     """Independent route: explicit 4x4 conjugation by the diagonal unitary."""
     V = np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)])
     out = V @ np.kron(v_a.dense(), v_b.dense()) @ V.conj().T
-    return PauliCoeffMatrix.from_dense(out).m
+    return pauli_coeffs(out)
 
 
 def test_radius_examples():
@@ -125,7 +125,7 @@ def test_post_measurement_state():
 
 def test_apply_gate_pauli_appendix_matrix():
     r_a, r_b = 0.3, 0.4
-    m = apply_gate_pauli(math.pi, BlochVector(r_a, 0, 1), BlochVector(r_b, 0, 1)).m
+    m = apply_gate_pauli(math.pi, BlochVector(r_a, 0, 1), BlochVector(r_b, 0, 1))
     expected = np.array([
         [1, r_b, 0, 1],
         [r_a, 0, 0, r_a],
@@ -137,12 +137,12 @@ def test_apply_gate_pauli_appendix_matrix():
 
 def test_apply_gate_pauli_identity():
     v_a, v_b = BlochVector(0.2, -0.3, 0.4), BlochVector(-0.1, 0.25, -0.9)
-    m = apply_gate_pauli(0.0, v_a, v_b).m
+    m = apply_gate_pauli(0.0, v_a, v_b)
     assert np.max(np.abs(m - np.outer(v_a.coeffs(), v_b.coeffs()))) < 1e-14
 
 
 def test_apply_gate_pauli_quarter_phase():
-    m = apply_gate_pauli(math.pi / 2, BlochVector(1, 0, 1), BlochVector(1, 0, 1)).m
+    m = apply_gate_pauli(math.pi / 2, BlochVector(1, 0, 1), BlochVector(1, 0, 1))
     assert m[1, 1] == pytest.approx(0.5)
     assert m[1, 2] == pytest.approx(0.5)
     assert m[2, 1] == pytest.approx(0.5)
@@ -157,7 +157,7 @@ def test_apply_gate_pauli_matches_dense_conjugation():
         phi = rng.uniform(0, 2 * math.pi)
         v_a = BlochVector(*rng.uniform(-0.7, 0.7, 2), rng.uniform(-1, 1))
         v_b = BlochVector(*rng.uniform(-0.7, 0.7, 2), rng.uniform(-1, 1))
-        analytic = apply_gate_pauli(phi, v_a, v_b).m
+        analytic = apply_gate_pauli(phi, v_a, v_b)
         dense = dense_gate_output(phi, v_a, v_b)
         assert np.max(np.abs(analytic - dense)) < 1e-10
 
@@ -169,31 +169,14 @@ def test_apply_gate_pauli_diagonal_sector_invariant():
         phi = rng.uniform(0, 2 * math.pi)
         v_a = BlochVector(*rng.uniform(-0.7, 0.7, 2), rng.uniform(-1, 1))
         v_b = BlochVector(*rng.uniform(-0.7, 0.7, 2), rng.uniform(-1, 1))
-        out = apply_gate_pauli(phi, v_a, v_b).m
+        out = apply_gate_pauli(phi, v_a, v_b)
         product = np.outer(v_a.coeffs(), v_b.coeffs())
         assert np.max(np.abs(out[idx] - product[idx])) < 1e-14
-
-
-def test_pauli_coeff_matrix_round_trip():
-    rng = np.random.default_rng(23)
-    v_a = BlochVector(0.3, -0.2, 0.5)
-    v_b = BlochVector(-0.4, 0.1, -0.6)
-    m = PauliCoeffMatrix.from_product(v_a, v_b)
-    back = PauliCoeffMatrix.from_dense(m.to_dense())
-    assert np.max(np.abs(back.m - m.m)) < 1e-12
-    # random Hermitian with unit coefficient on I(x)I
-    h = rng.normal(size=(4, 4))
-    h[0, 0] = 1.0
-    m2 = PauliCoeffMatrix(h)
-    assert np.max(np.abs(PauliCoeffMatrix.from_dense(m2.to_dense()).m - h)) < 1e-12
 
 
 def test_serialization():
     v = BlochVector(0.1, 0.2, -0.3)
     assert BlochVector.from_json(v.to_json()) == v
-    m = PauliCoeffMatrix.from_product(v, BlochVector(0, 0, 1))
-    m2 = PauliCoeffMatrix.from_json(m.to_json())
-    assert np.max(np.abs(m2.m - m.m)) < 1e-15
     spec = MeasurementSpec("XY", 1.25, "quasi-destructive")
     assert MeasurementSpec.from_json(spec.to_json()) == spec
 

@@ -234,22 +234,76 @@ def test_recursion_csv(capsys):
     assert last == pytest.approx((1 - math.sqrt(0.2)) / 2, abs=1e-9)
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_eval_ops(capsys):
     code, out, _ = run_cli(["eval", "--op", "lambda", "--phi", str(math.pi)],
                            capsys)
     assert code == 0
-    assert json.loads(out)["lambda"] == pytest.approx(2.0582, abs=1e-4)
+    assert _strict_json(out)["lambda"] == pytest.approx(2.0582, abs=1e-4)
 
     code, out, _ = run_cli(["eval", "--op", "lemma1", "--fa", "0.3",
                             "--fb", "0.3", "--phi", "3.14159"], capsys)
-    assert json.loads(out)["feasible"] is True
+    assert _strict_json(out)["feasible"] is True
 
     code, out, _ = run_cli(["eval", "--op", "fixed-points", "--fa", "0.1875"],
                            capsys)
-    assert json.loads(out)["fixed_points"] == [0.25, 0.75]
+    assert _strict_json(out)["fixed_points"] == [0.25, 0.75]
 
     code, out, _ = run_cli(["eval", "--op", "coarse-grain"], capsys)
-    assert json.loads(out)["threshold"] == pytest.approx(0.2498, abs=1e-4)
+    assert _strict_json(out)["threshold"] == pytest.approx(0.2498, abs=1e-4)
+
+    for op in ("lambda", "lemma1", "cz", "theta-max", "telescoping",
+               "steer-max", "fixed-points", "coarse-grain"):
+        code, out, err = run_cli(["eval", "--op", op], capsys)
+        assert code == 0 and err == "", op
+        assert _strict_json(out)["meta"]["header"].endswith(f"op={op}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--points", "0"],
+    ["growth", "--points", "-2"],
+    ["phase-diagram", "--delta", "3", "--points", "0"],
+    ["longrange", "--alpha", "2", "--alpha-max", "3", "--points", "0"],
+    ["thresholds", "--max-dim", "0"],
+    ["recursion", "--radius", "0.2", "--start", "0.2", "--steps", "-1"],
+    ["eval", "--op", "lambda", "--phi", "nan"],
+    ["search-space", "--delta", "3", "--search-tol", "nan"],
+    ["search-space", "--delta", "3", "--search-tol", "inf"],
+    ["search-space", "--delta", "3", "--phi", "nan"],
+], ids=lambda argv: " ".join([argv[0]] + argv[-2:]))
+def test_bad_numbers_rejected_when_parsed(argv, capsys):
+    flag = argv[-2]  # the offending flag comes last
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("bad input:") and f"argument {flag}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--delta", "3", "--points", "2", "--temperature", "1e308"],
+    ["eval", "--op", "theta-max", "--temperature", "1e300"],
+    ["eval", "--op", "telescoping", "--alpha", "2000"],
+    ["longrange", "--alpha", "2", "--alpha-max", "3000", "--points", "2"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_extreme_finite_inputs_exit_cleanly(argv, capsys):
+    # a temperature at which p_T rounds to 1/2, and alphas with 2^p > 1e308
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    if argv[0] == "eval":
+        doc = _strict_json(out)
+        if "theta_max" in doc:
+            assert doc["theta_max"] == math.pi / 2
+        else:
+            assert doc["r0"] == pytest.approx(1.0 / (2.0 + math.sqrt(5.0)))
+    else:
+        assert len(out.strip().splitlines()) == 4
 
 
 def test_simulate_file_determinism(tmp_path, capsys):

@@ -15,25 +15,23 @@ from cylsim.decompose import (
     decompose_gate_output,
     hull_membership,
     reconstruct,
-    reduced_determinant,
     solve_lp,
 )
-from cylsim.growth import LAMBDA_CZ, GrowthQuery, lambda_phi, lemma1_feasible
+from cylsim.growth import LAMBDA_CZ, lambda_phi, lemma1_feasible, lemma1_lhs
 from cylsim.statespace import cylinder, min_output_radius
 
 
 def test_reduced_determinant_boundary_zero():
     f = math.sqrt(math.sqrt(5) - 2)
-    assert abs(reduced_determinant(f, f, math.pi)) < 1e-12
+    assert abs(lemma1_lhs(f, f, math.pi)) < 1e-12
 
 
 def test_reduced_determinant_examples():
     # direct evaluation at f_a = f_b = 0.1, phi = pi:
     # f^8 + 4 f^6 - 2 f^4 - 4 f^2 + 1
-    assert reduced_determinant(0.1, 0.1, math.pi) == pytest.approx(0.95980401,
-                                                                   abs=1e-10)
+    assert lemma1_lhs(0.1, 0.1, math.pi) == pytest.approx(0.95980401, abs=1e-10)
     # closed form 2 fB^2 (1 - cos phi)(fB^2 - 1) at f_a = 1
-    assert reduced_determinant(1.0, 0.5, math.pi) == pytest.approx(-0.75, abs=1e-12)
+    assert lemma1_lhs(1.0, 0.5, math.pi) == pytest.approx(-0.75, abs=1e-12)
 
 
 def test_reduced_determinant_matches_numeric_det():
@@ -41,7 +39,7 @@ def test_reduced_determinant_matches_numeric_det():
     for _ in range(300):
         f_a, f_b = rng.uniform(0.0, 1.2, 2)
         phi = rng.uniform(0.01, 2 * math.pi - 0.01)
-        analytic = reduced_determinant(f_a, f_b, phi)
+        analytic = lemma1_lhs(f_a, f_b, phi)
         numeric = np.linalg.det(coupling_operator(f_a, f_b, phi))
         assert abs(numeric.imag) < 1e-9
         assert analytic == pytest.approx(numeric.real, abs=1e-9)
@@ -52,12 +50,12 @@ def test_reduced_determinant_symmetries_exact():
     for _ in range(100):
         f_a, f_b = rng.uniform(0, 1, 2)
         phi = rng.uniform(0, 2 * math.pi)
-        d = reduced_determinant(f_a, f_b, phi)
-        assert reduced_determinant(f_b, f_a, phi) == d
+        d = lemma1_lhs(f_a, f_b, phi)
+        assert lemma1_lhs(f_b, f_a, phi) == d
         # -phi is the exactly representable reflection of phi mod 2*pi
-        assert reduced_determinant(f_a, f_b, -phi) == d
+        assert lemma1_lhs(f_a, f_b, -phi) == d
         # the caller-side rounding of 2*pi - phi costs at most a few ulps
-        assert reduced_determinant(f_a, f_b, 2 * math.pi - phi) == \
+        assert lemma1_lhs(f_a, f_b, 2 * math.pi - phi) == \
             pytest.approx(d, abs=5e-15)
 
 
@@ -93,14 +91,14 @@ def test_hull_membership_boundary_feasible():
             target, LAMBDA_CZ * r, LAMBDA_CZ * r, n=40, tol=1e-7)
         assert feasible, f"boundary infeasible at r={r}, residual={residual}"
         assert residual < 1e-7
-        assert np.max(np.abs(reconstruct(d) - target.m)) <= 1e-7 + 1e-12
+        assert np.max(np.abs(reconstruct(d) - target)) <= 1e-7 + 1e-12
 
 
 def test_hull_membership_infeasible_inside_boundary():
     r = 0.2
     r_out = 0.9 * LAMBDA_CZ * r
     # the analytic predicate rejects first
-    assert not lemma1_feasible(GrowthQuery(r / r_out, r / r_out, math.pi))
+    assert not lemma1_feasible(r / r_out, r / r_out, math.pi)
     target = apply_gate_pauli(math.pi, BlochVector(r, 0, 1), BlochVector(r, 0, 1))
     feasible, _d, residual = hull_membership(target, r_out, r_out, n=40)
     assert not feasible
@@ -120,7 +118,7 @@ def test_solve_lp_matches_single_lp():
         f_a, f_b = rng.uniform(0.05, 0.95, 2)
         phi = rng.uniform(0.1, 2 * math.pi - 0.1)
         target16 = apply_gate_pauli(phi, BlochVector(f_a, 0, 1),
-                                    BlochVector(f_b, 0, 1)).m.reshape(16)
+                                    BlochVector(f_b, 0, 1)).reshape(16)
         cost = np.zeros(n * n + 1)
         cost[-1] = 1.0
         single = linprog(cost, A_ub=np.vstack([np.hstack([full_a, -ones]),
@@ -174,21 +172,21 @@ def _pole_rule_cases(rng, count):
         # side B is off its poles in a third of the cases
         z_b = rng.choice([z_b, rng.uniform(-0.9, 0.9)], p=[2 / 3, 1 / 3])
         v_b = BlochVector(r_b * math.cos(az_b), r_b * math.sin(az_b), z_b)
-        pts = _circle_points(cylinder(rng.uniform(0.5, 2.5) * max(r_a, r_b)).breakpoints, 12)
-        yield "cylinder", pts, pts, apply_gate_pauli(phi, v_a, v_b).m.reshape(16)
+        pts = _circle_points(cylinder(rng.uniform(0.5, 2.5) * max(r_a, r_b)).profile, 12)
+        yield "cylinder", pts, pts, apply_gate_pauli(phi, v_a, v_b).reshape(16)
 
         space = statespace.b_space(rng.uniform(0.1, 0.5), rng.uniform(0.3, 0.9))
-        ext = [BlochVector(r, 0.0, z) for z, r in space.breakpoints]
+        ext = [BlochVector(r, 0.0, z) for z, r in space.profile]
         w_a, w_b = (ext[k] for k in rng.integers(len(ext), size=2))
-        pts = _circle_points(space.breakpoints, 12)
-        target = _phased(apply_gate_pauli(phi, w_a, w_b).m, rng.uniform(0.8, 2.5))
+        pts = _circle_points(space.profile, 12)
+        target = _phased(apply_gate_pauli(phi, w_a, w_b), rng.uniform(0.8, 2.5))
         yield "b-space", pts, pts, target.reshape(16)
 
         raw = _circle_points([(-1.0, rng.uniform(0.1, 0.4)),
                               (1.0, rng.uniform(0.1, 0.4))], 8)
-        cyl = _circle_points(cylinder(0.25).breakpoints, 8)
+        cyl = _circle_points(cylinder(0.25).profile, 8)
         p_a, p_b = raw[rng.integers(len(raw))], cyl[rng.integers(len(cyl))]
-        target = _phased(apply_gate_pauli(phi, BlochVector(*p_a), BlochVector(*p_b)).m,
+        target = _phased(apply_gate_pauli(phi, BlochVector(*p_a), BlochVector(*p_b)),
                          rng.uniform(0.8, 2.5))
         yield "raw", raw, cyl, target.reshape(16)
 
@@ -229,9 +227,9 @@ def test_solve_lp_pole_rule_matches_all_column_lp(monkeypatch):
     assert min(pinned.values()) >= 10 and raw_decomposable >= 5
 
     # a Z row off by 1e-9 is not pinned; one off by 1e-13 is
-    pts = _circle_points(cylinder(0.3).breakpoints, 12)
+    pts = _circle_points(cylinder(0.3).profile, 12)
     exact = apply_gate_pauli(2.0, BlochVector(0.2, 0.0, 1.0),
-                             BlochVector(0.1, 0.1, 0.4)).m
+                             BlochVector(0.1, 0.1, 0.4))
     for offset, rows in ((0.0, 12), (1e-13, 12), (1e-9, 16)):
         target = exact.copy()
         target[3, 0] += offset
@@ -246,7 +244,7 @@ def test_decompose_fast_path_zero_radius():
     d = decompose_gate_output(v_a, v_b, 1.7, 0.0, radius(v_b))
     assert len(d.weights) == 2
     target = apply_gate_pauli(1.7, v_a, v_b)
-    assert np.max(np.abs(reconstruct(d) - target.m)) < 1e-12
+    assert np.max(np.abs(reconstruct(d) - target)) < 1e-12
     # partner radius unchanged
     for r in _radii(d.b):
         assert r == pytest.approx(radius(v_b), abs=1e-12)
@@ -271,7 +269,7 @@ def test_decompose_lp_path_contract():
     v = BlochVector(r, 0, 1)
     d = decompose_gate_output(v, v, math.pi, LAMBDA_CZ * r, LAMBDA_CZ * r)
     target = apply_gate_pauli(math.pi, v, v)
-    assert np.max(np.abs(reconstruct(d) - target.m)) <= 1e-12
+    assert np.max(np.abs(reconstruct(d) - target)) <= 1e-12
     assert sum(d.weights) == pytest.approx(1.0, abs=1e-12)
     assert np.all(_radii(d.a) <= LAMBDA_CZ * r + 1e-9)
     assert np.all(_radii(d.b) <= LAMBDA_CZ * r + 1e-9)
@@ -308,7 +306,7 @@ def test_decompose_z_covariance():
             np.array([z_rotate(BlochVector(*p), az_a).as_array() for p in base.a]),
             np.array([z_rotate(BlochVector(*p), az_b).as_array() for p in base.b]))
         target = apply_gate_pauli(phi, v_a, v_b)
-        assert np.max(np.abs(reconstruct(moved) - target.m)) <= 1e-12, k
+        assert np.max(np.abs(reconstruct(moved) - target)) <= 1e-12, k
         assert len(rotated.weights) == len(base.weights)
         for i in range(len(moved.weights)):
             assert rotated.weights[i] == pytest.approx(moved.weights[i], abs=1e-12)
@@ -373,8 +371,8 @@ def test_closed_form_matches_lemma1():
         target = apply_gate_pauli(phi, z_rotate(BlochVector(r_a, 0, z_a), az_a),
                                   z_rotate(BlochVector(r_b, 0, z_b), az_b))
         feasible, d, residual = closed_form_decomposition(target, r_out_a, r_out_b)
-        query = GrowthQuery(r_a / r_out_a, r_b / r_out_b, phi)
-        assert feasible == lemma1_feasible(query), (r_a, r_b, phi, k)
+        assert feasible == lemma1_feasible(r_a / r_out_a, r_b / r_out_b, phi), \
+            (r_a, r_b, phi, k)
         if not feasible:
             continue
         assert residual <= 1e-12
@@ -397,7 +395,7 @@ def test_tiny_phase_decomposes_at_ledger_radius(phi):
     v_a, v_b = BlochVector(0.3, 0, -1), BlochVector(0.0, 0.3, 1)
     d = decompose_gate_output(v_a, v_b, phi, lam * 0.3, lam * 0.3)
     target = apply_gate_pauli(phi, v_a, v_b)
-    assert np.max(np.abs(reconstruct(d) - target.m)) <= 1e-12
+    assert np.max(np.abs(reconstruct(d) - target)) <= 1e-12
 
 
 def test_lp_agreement_with_analytic_minigrid():
@@ -412,13 +410,13 @@ def test_lp_agreement_with_analytic_minigrid():
                                           BlochVector(f_b, 0, 1))
                 feasible, _t, _r = hull_membership(target, 1.0, 1.0, n=40,
                                                    refine_rounds=2)
-                analytic = lemma1_feasible(GrowthQuery(f_a, f_b, phi))
+                analytic = lemma1_feasible(f_a, f_b, phi)
                 if feasible and not analytic:
                     pytest.fail("LP feasible where analytic says infeasible")
                 if feasible:
                     assert closed_form_decomposition(target, 1.0, 1.0)[0]
                 if feasible != analytic:
-                    assert abs(reduced_determinant(f_a, f_b, phi)) < band
+                    assert abs(lemma1_lhs(f_a, f_b, phi)) < band
 
 
 def test_min_output_radius_cylinders():

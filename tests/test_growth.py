@@ -8,8 +8,6 @@ from cylsim import growth
 from cylsim.growth import (
     LAMBDA_CZ,
     CutoffTooSmall,
-    GrowthQuery,
-    PhasePoint,
     PowerLawSpec,
     cz_feasible,
     lambda_phi,
@@ -97,12 +95,14 @@ def test_cz_boundary_exact():
 
 
 def test_lemma1_cases():
-    assert lemma1_feasible(GrowthQuery(math.sqrt(math.sqrt(5) - 2),
-                                       math.sqrt(math.sqrt(5) - 2), math.pi))
-    assert lemma1_feasible(GrowthQuery(0.0, 0.9, 2.2))
-    assert not lemma1_feasible(GrowthQuery(1.0, 1.0, math.pi / 2))
-    assert lemma1_feasible(GrowthQuery(0.3, 0.3, 0.0))
-    assert not lemma1_feasible(GrowthQuery(1.2, 0.1, 0.0))
+    assert lemma1_feasible(math.sqrt(math.sqrt(5) - 2),
+                           math.sqrt(math.sqrt(5) - 2), math.pi)
+    assert lemma1_feasible(0.0, 0.9, 2.2)
+    assert not lemma1_feasible(1.0, 1.0, math.pi / 2)
+    assert lemma1_feasible(0.3, 0.3, 0.0)
+    assert not lemma1_feasible(1.2, 0.1, 0.0)
+    with pytest.raises(ValueError):
+        lemma1_feasible(-0.1, 0.5, math.pi)
 
 
 def test_cz_feasible_examples():
@@ -115,8 +115,7 @@ def test_cz_feasible_examples():
 def test_cz_agrees_with_lemma1_at_pi():
     grid = np.linspace(0.0, 1.0, 100)
     for f_a, f_b in itertools.product(grid, grid):
-        assert cz_feasible(f_a, f_b) == lemma1_feasible(
-            GrowthQuery(f_a, f_b, math.pi))
+        assert cz_feasible(f_a, f_b) == lemma1_feasible(f_a, f_b, math.pi)
 
 
 def test_theta_max_examples():
@@ -152,10 +151,8 @@ def test_thermal_excitation():
 
 
 def test_phase_point():
-    p = PhasePoint(theta=0.1, phi=math.pi, delta=3)
-    assert p.simulable()
-    q = PhasePoint(theta=0.5, phi=math.pi, delta=3)
-    assert not q.simulable()
+    # (theta, phi = pi, delta = 3) is simulable iff theta <= theta_max
+    assert 0.1 <= theta_max(math.pi, 3) < 0.5
 
 
 def brute_shell(dim, distance):

@@ -10,6 +10,10 @@ Only `decompose` imports scipy, so the LP solver stays behind one module.
 
 No module memoises with `functools.lru_cache` or `functools.cache`: a
 module-level cache is mutable state shared by every caller.
+
+No `if` or conditional expression tests `isinstance(x, C)` for a class C
+defined in cylsim: that fork is how a function accepts a second format for
+one value, and each value has one.
 """
 
 import ast
@@ -140,3 +144,53 @@ def test_memo_cache_guard_catches_each_form():
     # other functools names and other modules' caches are allowed
     assert memo_caches("import functools\nfunctools.wraps\n"
                        "from functools import partial\nx.cache") == []
+
+
+def cylsim_classes() -> set[str]:
+    """Names of the classes defined in the cylsim sources."""
+    return {node.name for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)}
+
+
+def isinstance_forks(source: str, classes: set[str]) -> list[str]:
+    """`line call` for every isinstance(x, C), C one of `classes`, in the
+    test of an `if` or a conditional expression."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        for call in ast.walk(node.test):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "isinstance" and len(call.args) == 2):
+                continue
+            kinds = call.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            names = {k.id if isinstance(k, ast.Name) else getattr(k, "attr", None)
+                     for k in kinds}
+            if names & classes:
+                found.append(f"{call.lineno} {ast.unparse(call)}")
+    return found
+
+
+def test_no_isinstance_forks_on_cylsim_classes():
+    classes = cylsim_classes()
+    assert {"BlochVector", "ExperimentSpec"} <= classes
+    offenders = [f"{path.name}:{hit}" for path in sorted(SRC.glob("*.py"))
+                 for hit in isinstance_forks(path.read_text(), classes)]
+    assert offenders == []
+
+
+def test_isinstance_fork_guard_catches_each_form():
+    classes = {"Coeffs", "BlochVector"}
+    assert isinstance_forks("m = t.m if isinstance(t, Coeffs) else t", classes) \
+        == ["1 isinstance(t, Coeffs)"]
+    assert isinstance_forks("if ok and not isinstance(p, (list, BlochVector)):\n"
+                            "    p = BlochVector(*p)", classes) \
+        == ["1 isinstance(p, (list, BlochVector))"]
+    assert isinstance_forks("if x:\n    pass\nelif isinstance(v, bloch.BlochVector):\n"
+                            "    pass", classes) == ["3 isinstance(v, bloch.BlochVector)"]
+    # other classes, and checks outside a branch test, are allowed
+    assert isinstance_forks("if isinstance(x, bool) or isinstance(x, dict):\n"
+                            "    pass\nassert isinstance(s, Coeffs)\n"
+                            "ok = isinstance(v, BlochVector)", classes) == []

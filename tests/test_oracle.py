@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cylsim import oracle
 from cylsim.bloch import (
     PAULI,
     BlochVector,
@@ -56,7 +57,7 @@ def test_evolve_matches_pauli_route():
         state = evolve(DenseState.from_product([v_a, v_b]),
                        DiagonalGate(phi), (0, 1))
         assert np.max(np.abs(state.pauli_coeff(0, 1)
-                             - apply_gate_pauli(phi, v_a, v_b).m)) < 1e-10
+                             - apply_gate_pauli(phi, v_a, v_b))) < 1e-10
 
 
 def test_evolve_three_qubit_embedding():
@@ -64,7 +65,7 @@ def test_evolve_three_qubit_embedding():
     state = DenseState.from_product(v)
     out = evolve(state, DiagonalGate(1.3), (0, 2))
     assert np.max(np.abs(out.pauli_coeff(0, 2)
-                         - apply_gate_pauli(1.3, v[0], v[2]).m)) < 1e-10
+                         - apply_gate_pauli(1.3, v[0], v[2]))) < 1e-10
     # the idle qubit's marginal is untouched
     one = out.pauli_coeff(1, 0)[:, 0]
     assert one[1] == pytest.approx(1.0, abs=1e-12)
@@ -310,7 +311,7 @@ def _random_spec(rng):
             continue
 
 
-def test_exact_distribution_matches_kronecker_reference():
+def test_exact_distribution_matches_kronecker_reference(monkeypatch):
     rng = np.random.default_rng(2026)
     reused = pruned = 0
     for _ in range(300):
@@ -322,8 +323,10 @@ def test_exact_distribution_matches_kronecker_reference():
             event for k, m in enumerate(spec.schedule) for event in
             [("measure", m)] + [("gate", g) for g in spec.gates
                                 if g.after_measurement == k]]
-        for prune in (1e-15, 1e-2):  # the default, and one that cuts real mass
-            fast = exact_distribution(spec, prune)
+        for prune in (oracle.PRUNE, 1e-2):  # the default, and one that cuts real mass
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "PRUNE", prune)
+                fast = exact_distribution(spec)
             slow = _kron_reference(spec, prune)
             assert set(fast.probs) == set(slow.probs)
             # near-pole inputs prune rounding-level branches, whose masses
