@@ -17,9 +17,15 @@ Cases:
                   symmetrization, `--instances` sets, continuing that seed.
 
 BLAS is pinned to one thread before numpy loads.  Each case runs `--repeats`
-times.  Every run time, their median, the LP solves of one run and the radii
-it returned are stored under `--label` in the output file (other labels in it
-are kept), with the machine and the Python, numpy and scipy versions.
+times.  Every run time, their median, the LP solves of the first run, one
+digest per solve and the radii it returned are stored under `--label` in the
+output file (other labels in it are kept), with the machine and the Python,
+numpy and scipy versions.  A solve's digest is the first DIGEST_HEX hex
+digits of the sha256 over its `c`, `A_ub` and `b_ub` and its result's `x`,
+`fun` and `ineqlin.marginals`.  For every other label in the file that has
+the same case, the script prints whether this run's calls are a subsequence
+of that label's: whether every LP it solved is bitwise one the other solved,
+in the same order.
 `--src` names the package source to time, so one checkout can time another
 (for example a copy of the parent commit).
 """
@@ -27,6 +33,8 @@ are kept), with the machine and the Python, numpy and scipy versions.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import math
 import os
 import statistics
@@ -37,6 +45,23 @@ from pathlib import Path
 from bench_oracle import ROOT, THREAD_VARS, environment, save
 
 CASES = ("criterion5", "rstar-cylinder", "lemma7", "twirl")
+DIGEST_HEX = 16
+
+
+def lp_digest(c, A_ub, b_ub, res) -> str:
+    """Digest of one `linprog` call: its LP and the solution it returned."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for part in (c, A_ub, b_ub, res.x, res.fun, res.ineqlin.marginals):
+        h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    return h.hexdigest()[:DIGEST_HEX]
+
+
+def is_subsequence(after: list[str], before: list[str]) -> bool:
+    """Whether `after`'s digests occur in `before` in the same order."""
+    it = iter(before)
+    return all(d in it for d in after)
 
 
 def _criterion5():
@@ -104,12 +129,13 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(Path(args.src).resolve())]
     from cylsim import decompose
 
-    solves = [0]
+    digests: list[str] = []
     linprog = decompose.linprog
 
-    def counted(*a, **kw):
-        solves[0] += 1
-        return linprog(*a, **kw)
+    def counted(c, A_ub, b_ub, **kw):
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, **kw)
+        digests.append(lp_digest(c, A_ub, b_ub, res))
+        return res
 
     decompose.linprog = counted
     run_case = {"criterion5": _criterion5,
@@ -118,19 +144,32 @@ def main(argv=None) -> int:
                 "twirl": lambda: _criterion8_loops(args.instances, twirl=True)}
     cases = {}
     for name in args.cases:
-        runs = []
+        runs, first = [], None
         for _ in range(args.repeats):
-            solves[0] = 0
+            digests.clear()
             t0 = time.perf_counter()
             radii = run_case[name]()
             runs.append(time.perf_counter() - t0)
+            if first is None:
+                first = list(digests)
         cases[name] = {"median_s": statistics.median(runs), "runs_s": runs,
-                       "lp_solves": solves[0], "radii": radii}
+                       "lp_solves": len(first), "lp_digests": first,
+                       "radii": radii}
         print(f"{args.label} {name}: median {cases[name]['median_s']:.3f} s "
-              f"over {len(runs)} runs, {solves[0]} LPs", file=sys.stderr,
+              f"over {len(runs)} runs, {len(first)} LPs", file=sys.stderr,
               flush=True)
 
     save(args.output, args.label, {**environment(), "blas_threads": 1, "cases": cases})
+    with open(args.output) as f:
+        record = json.load(f)
+    for other, entry in record.items():
+        for name, case in cases.items():
+            theirs = entry.get("cases", {}).get(name, {}).get("lp_digests")
+            if other == args.label or theirs is None:
+                continue
+            verdict = "a" if is_subsequence(case["lp_digests"], theirs) else "NOT a"
+            print(f"{args.label} {name}: {len(case['lp_digests'])} LPs, {verdict} "
+                  f"subsequence of {other}'s {len(theirs)}", file=sys.stderr)
     return 0
 
 

@@ -37,6 +37,9 @@ EXACT_TOL = 1e-12
 _CG_START = 256
 _CG_BATCH = 128
 _CG_PRICE_TOL = 1e-10
+# Azimuths per side-A circle at which `residual_lower_bound` samples the
+# dual; a Lipschitz margin covers the azimuths between them.
+_BOUND_GRID = 4096
 
 
 class SolverFailure(RuntimeError):
@@ -200,8 +203,11 @@ def _pole_rule(z_row, i_row, zs):
 def solve_lp(pts_a, pts_b, target16):
     """Min-residual LP: nonnegative weights over product candidates whose
     Pauli coefficients match the target within the smallest possible L-inf
-    residual.  Returns (residual, weights), one weight per (a, b) pair in
-    row-major order.
+    residual.  Returns (residual, weights, duals): one weight per (a, b) pair
+    in row-major order, and the 16 row duals y of the final LP (zero on the
+    rows the pole rule drops), the multipliers of the dual
+    max -b^T y s.t. A^T y >= 0, ||y||_1 <= 1 that `residual_lower_bound`
+    turns into a bound over every point of the circles.
 
     A side whose target Z row pins it to a pole (`_pole_rule`) keeps only
     that pole's candidates and drops its Z rows, which quarters the LP for
@@ -253,7 +259,55 @@ def solve_lp(pts_a, pts_b, target16):
     kept[cols] = res.x[:-1]
     weights = np.zeros((len(pts_a), len(pts_b)))
     weights[np.ix_(keep_a, keep_b)] = kept.reshape(len(keep_a), len(keep_b))
-    return res.fun, weights.reshape(-1)
+    y = np.zeros(16)
+    y[rows] = duals[nrows:] - duals[:nrows]
+    return res.fun, weights.reshape(-1), y
+
+
+def _kept_circles(circles, z_row, i_row):
+    """The circles whose points `solve_lp` keeps as candidates on one side."""
+    keep, _pinned = _pole_rule(z_row, i_row, np.array([z for z, _ in circles]))
+    return [(circles[k][0], circles[k][1] if circles[k][1] > ZERO_RADIUS else 0.0)
+            for k in keep]
+
+
+def residual_lower_bound(target_m, duals, circles_a, circles_b) -> float:
+    """A lower bound on the L-inf residual of every nonnegative combination
+    of products of points on the circles that `solve_lp` keeps for this
+    target, at any azimuths, from one LP's row duals y (weak duality of the
+    semi-infinite LP; Hettich & Kortanek, SIAM Rev. 35, 380 (1993)).
+
+    With Y = y as a 4x4 array and mu a proven upper bound on
+    max -(1, a)^T Y (1, b) over those points, any weights w >= 0 with
+    residual t satisfy ||y||_1 t >= y^T (A w - b) >= -mu+ sum(w) - b^T y
+    and sum(w) <= m00 + t (the I(x)I row), so
+    t >= (-b^T y - mu+ m00) / (||y||_1 + mu+), mu+ = max(mu, 0).
+    For fixed a the maximum over b's azimuth is closed form,
+    W0 + W3 z_b + R_b ||(W1, W2)||, W = -(1, a)^T Y; over a's azimuth it is
+    the maximum at _BOUND_GRID azimuths plus the Lipschitz constant of that
+    closed form times half the grid step.  Returns -inf when y is zero."""
+    m = np.asarray(target_m, dtype=float).reshape(4, 4)
+    Y = np.asarray(duals, dtype=float).reshape(4, 4)
+    kept_a = _kept_circles(circles_a, m[3, :], m[0, :])
+    kept_b = np.array(_kept_circles(circles_b, m[:, 3], m[:, 0]))
+    z_b, r_b = kept_b[:, 0], kept_b[:, 1]
+    # Lipschitz constant in a's azimuth, per unit radius of a's circle
+    lip = np.max(np.linalg.norm(Y[1:3, 0]) + np.abs(z_b) * np.linalg.norm(Y[1:3, 3])
+                 + r_b * np.linalg.norm(Y[1:3, 1:3]))
+    grid = 2.0 * math.pi * np.arange(_BOUND_GRID) / _BOUND_GRID
+    mu = -math.inf
+    for z_a, r_a in kept_a:
+        nus = grid if r_a > 0.0 else grid[:1]
+        ca = np.column_stack([np.ones(len(nus)), r_a * np.cos(nus),
+                              r_a * np.sin(nus), np.full(len(nus), z_a)])
+        w = -ca @ Y
+        top = (w[:, :1] + w[:, 3:] * z_b + r_b * np.hypot(w[:, 1:2], w[:, 2:3])).max()
+        mu = max(mu, top + r_a * lip * math.pi / _BOUND_GRID)
+    mu = max(mu, 0.0)
+    scale = np.abs(Y).sum() + mu
+    if scale == 0.0:
+        return -math.inf
+    return float((-m.reshape(16) @ Y.reshape(16) - mu * m[0, 0]) / scale)
 
 
 def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
@@ -261,7 +315,14 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
     """Decompose a Pauli coefficient target over products of discretized
     extremal circles.  Returns (residual, Decomposition) for the support,
     refining azimuths around the active support while the residual exceeds
-    tol, which must be finite and > 0; n >= 1 azimuths per circle."""
+    tol, which must be finite and > 0; n >= 1 azimuths per circle.
+
+    Refinement stops early once an LP's duals prove a miss: when
+    `residual_lower_bound` > tol, no combination of points on the kept
+    circles reaches tol, and later rounds only add azimuths on those
+    circles, so the verdict residual <= tol is the one the remaining rounds
+    would give; the residual and terms returned are the current round's.
+    Every LP that runs is the one it would be without the stop."""
     if n < 1:
         raise ValueError(f"need at least one azimuth per circle, not {n!r}")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -275,14 +336,15 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
     for round_idx in range(refine_rounds + 1):
         pts_a, own_a, azs_a = _candidates(circles_a, az_a)
         pts_b, own_b, azs_b = _candidates(circles_b, az_b)
-        _lp_residual, w = solve_lp(pts_a, pts_b, target.reshape(16))
+        _lp_residual, w, duals = solve_lp(pts_a, pts_b, target.reshape(16))
         support = np.nonzero(w > _WEIGHT_EPS)[0]
         # normalise so weights are an exact distribution, then report the
         # residual of what is actually returned
         d = Decomposition(w[support] / w[support].sum(),
                           pts_a[support // len(pts_b)], pts_b[support % len(pts_b)])
         residual = float(np.max(np.abs(reconstruct(d) - target)))
-        if residual <= tol or round_idx == refine_rounds:
+        if (residual <= tol or round_idx == refine_rounds
+                or residual_lower_bound(target, duals, circles_a, circles_b) > tol):
             return residual, d
         # rebuild each side as base grid + support + halved-step neighbours;
         # dropping stale refinement columns is safe because the current

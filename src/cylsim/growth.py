@@ -102,7 +102,10 @@ def lemma1_feasible(f_a: float, f_b: float, phi: float) -> bool:
 
 
 def cz_feasible(f_a: float, f_b: float) -> bool:
-    """CZ-specific separability test: 1 >= (fA + fB)^2 + fA^2 fB^2."""
+    """CZ-specific separability test: 1 >= (fA + fB)^2 + fA^2 fB^2, for
+    radius ratios f = r/R >= 0."""
+    if f_a < 0 or f_b < 0:
+        raise ValueError("radius ratios must be >= 0")
     return (f_a + f_b) ** 2 + (f_a * f_b) ** 2 <= 1.0 + _FEASIBLE_TOL
 
 
@@ -204,15 +207,22 @@ def longrange_growth(spec: PowerLawSpec) -> LongRangeResult:
     # Integral upper bound on the tail: shell_count(D, l) <= c_D (l + D)^(D-1)
     # with c_D = 2^D / (D-1)!, and ln(lambda) ~ (phi/2)^(2/3), so terms are
     # below c_D (phi_1/2)^(2/3) (1 + D/l)^(2a/3) (l + D)^s with
-    # s = D - 1 - 2 alpha / 3 < -1.
+    # s = D - 1 - 2 alpha / 3 < -1, and the tail below
+    # c_D (phi_1/2)^(2/3) (1 + D/L)^(2a/3) ((L + D)^(s+1) / (-s-1) + (L+1+D)^s)
+    # at cutoff L.  Each alpha-dependent pair of powers is combined into one
+    # power of a base <= 1, which underflows to 0 at a huge alpha where the
+    # separate powers would overflow to inf and underflow to 0.
     d, l1 = spec.dim, spec.cutoff
     a23 = 2.0 * spec.alpha / 3.0
     s = d - 1 - a23
     c_d = 2.0 ** d / math.factorial(d - 1)
     phi_1 = spec.nn_phase if spec.nn_phase is not None else spec.time
-    prefactor = c_d * (phi_1 / 2.0) ** (2.0 / 3.0) * (1.0 + d / l1) ** a23
-    tail = prefactor * ((l1 + d) ** (s + 1) / (-s - 1) + (l1 + 1 + d) ** s)
-    return LongRangeResult(total, "converges", tail)
+    prefactor = c_d * (phi_1 / 2.0) ** (2.0 / 3.0)
+    # (1 + D/L)^(2a/3) (L + D)^(s+1) = L^(-2a/3) (L + D)^D
+    head = (l1 + d) ** d * float(l1) ** -a23 / (-s - 1)
+    # (1 + D/L)^(2a/3) (L + 1 + D)^s = ((L + D) / (L (L + 1 + D)))^(2a/3) (L + 1 + D)^(D-1)
+    rest = ((l1 + d) / (l1 * (l1 + 1 + d))) ** a23 * (l1 + 1 + d) ** (d - 1)
+    return LongRangeResult(total, "converges", prefactor * (head + rest))
 
 
 class TelescopingFamily(NamedTuple):

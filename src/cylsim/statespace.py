@@ -10,9 +10,10 @@ spaces beat them slightly as input spaces, which this module reproduces.
 
 The searches (`r_star`, `min_output_radius`, `max_input_radius_bspace`)
 bisect on a radius.  Each builds its gate-output targets from the extremal
-input pairs (`_gate_targets`) and asks one fit test (`_fits`) of the LP in
-`decompose`: `r_star` phases the target, the others fit it over cylinder
-circles at the probed radius.
+input pairs (`_gate_targets`) and asks one fit test (`_fits`): `r_star`
+phases the target, the others fit it over cylinder circles at the probed
+radius.  A product target is decided factor by factor; any other asks the
+LP in `decompose`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochVector, apply_gate_pauli, radius
-from .decompose import decompose_over_circles, solve_lp
+from .decompose import EXACT_TOL, decompose_over_circles, solve_lp
 from .growth import lambda_phi
 
 _PROFILE_TOL = 1e-12
@@ -92,10 +93,15 @@ class SymmetricStateSpace:
         return (1.0 - t) * r1 + t * r2
 
     def contains(self, v: BlochVector) -> bool:
-        lo, hi = self.z_extent()
-        if v.z < lo - _CONTAINS_TOL or v.z > hi + _CONTAINS_TOL:
-            return False
-        return radius(v) <= self.radius_at(min(max(v.z, lo), hi)) + _CONTAINS_TOL
+        return _within(self, v, _CONTAINS_TOL)
+
+
+def _within(space: SymmetricStateSpace, v: BlochVector, tol: float) -> bool:
+    """Whether v lies in the space, with slack tol in z and in radius."""
+    lo, hi = space.z_extent()
+    if v.z < lo - tol or v.z > hi + tol:
+        return False
+    return radius(v) <= space.radius_at(min(max(v.z, lo), hi)) + tol
 
 
 def cylinder(r: float) -> SymmetricStateSpace:
@@ -193,11 +199,26 @@ def _gate_targets(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
             for z_b, r_b in space_b.profile]
 
 
-def _fits(target, circles_a, circles_b, n: int, lp_tol: float) -> bool:
-    """The LP places the target in the hull of the circles' products to
-    within lp_tol."""
-    return decompose_over_circles(target, circles_a, circles_b, n, lp_tol,
-                                  refine_rounds=2)[0] <= lp_tol
+def _fits(target, space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
+          n: int, lp_tol: float) -> bool:
+    """Whether the target lies in the hull of the products of the two spaces'
+    breakpoint circles to within lp_tol.
+
+    A product target, m = outer(m[:, 0], m[0, :]) to EXACT_TOL (a gate
+    output with a zero-radius input, such as a pole), lies there exactly when
+    each factor lies in its own space (the hull's marginals are the spaces),
+    so each factor is tested against its space with slack lp_tol (finite
+    and > 0) and no LP runs.  Any other target asks the LP of
+    `decompose_over_circles`, whose discretized hull under-approximates the
+    exact one."""
+    if not (math.isfinite(lp_tol) and lp_tol > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, not {lp_tol!r}")
+    m = np.asarray(target)
+    if np.max(np.abs(m - np.outer(m[:, 0], m[0, :]))) <= EXACT_TOL:
+        return (_within(space_a, BlochVector(*m[1:, 0]), lp_tol)
+                and _within(space_b, BlochVector(*m[0, 1:]), lp_tol))
+    return decompose_over_circles(target, space_a.profile, space_b.profile, n,
+                                  lp_tol, refine_rounds=2)[0] <= lp_tol
 
 
 def _phased_target(m: np.ndarray, inv_r: float) -> np.ndarray:
@@ -221,8 +242,8 @@ def r_star(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
     targets = _gate_targets(space_a, space_b, phi)
 
     def feasible(r):
-        return all(_fits(_phased_target(t, 1.0 / r), space_a.profile,
-                         space_b.profile, n, lp_tol) for t in targets)
+        return all(_fits(_phased_target(t, 1.0 / r), space_a, space_b, n, lp_tol)
+                   for t in targets)
 
     return bisect_min_radius(feasible, tol, hi_start=1.0)
 
@@ -236,8 +257,8 @@ def min_output_radius(space_a: SymmetricStateSpace,
     targets = _gate_targets(space_a, space_b, phi)
 
     def feasible(r):
-        circles = cylinder(r).profile
-        return all(_fits(t, circles, circles, n, lp_tol) for t in targets)
+        out = cylinder(r)
+        return all(_fits(t, out, out, n, lp_tol) for t in targets)
 
     hi_start = max(space_a.radius, space_b.radius, 1e-6)
     return bisect_min_radius(feasible, tol, hi_start=hi_start)
@@ -269,9 +290,8 @@ def _bspace_first_gate_feasible(r, r_target, phi, n, lp_tol):
     if r >= 1.0:
         return False
     space = b_space(r, math.sqrt(1.0 - r * r))
-    circles = cylinder(r_target).profile
-    return all(_fits(t, circles, circles, n, lp_tol)
-               for t in _gate_targets(space, space, phi))
+    out = cylinder(r_target)
+    return all(_fits(t, out, out, n, lp_tol) for t in _gate_targets(space, space, phi))
 
 
 def max_input_radius_bspace(delta: int, phi: float, n: int = 40,

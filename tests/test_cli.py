@@ -306,6 +306,26 @@ def test_extreme_finite_inputs_exit_cleanly(argv, capsys):
         assert len(out.strip().splitlines()) == 4
 
 
+def test_eval_cz_rejects_negative_ratios(capsys):
+    # the same one-line refusal as --op lemma1 with these ratios
+    for op in ("lemma1", "cz"):
+        code, out, err = run_cli(["eval", "--op", op, "--fa", "-0.5", "--fb", "0.5"],
+                                 capsys)
+        assert code == 4 and out == "", op
+        assert err == "bad input: radius ratios must be >= 0\n", op
+
+
+def test_longrange_huge_alpha_tail_underflows(capsys):
+    # the tail's powers of 2 alpha / 3 underflow together instead of
+    # meeting as inf * 0
+    code, out, err = run_cli(["longrange", "--alpha", "1e308", "--nn-phase", "1",
+                              "--cutoff", "10"], capsys)
+    assert code == 0 and err == ""
+    doc = _strict_json(out)
+    assert doc["tail_bound"] == 0.0 and doc["verdict"] == "converges"
+    assert math.isfinite(doc["ln_lambda_tot"])
+
+
 def test_simulate_file_determinism(tmp_path, capsys):
     spec = {
         "version": 1,

@@ -15,6 +15,7 @@ from cylsim.decompose import (
     decompose_gate_output,
     hull_membership,
     reconstruct,
+    residual_lower_bound,
     solve_lp,
 )
 from cylsim.growth import LAMBDA_CZ, lambda_phi, lemma1_feasible, lemma1_lhs
@@ -125,7 +126,7 @@ def test_solve_lp_matches_single_lp():
                                                np.hstack([-full_a, -ones])]),
                          b_ub=np.concatenate([target16, -target16]),
                          bounds=(0, None), method="highs").fun
-        residual, weights = solve_lp(pts, pts, target16)
+        residual, weights, _duals = solve_lp(pts, pts, target16)
         assert single - 1e-8 <= residual <= single + 1e-9
         assert weights.shape == (n * n,) and weights.min() >= 0.0
         assert np.max(np.abs(full_a @ weights - target16)) <= residual + 1e-9
@@ -209,7 +210,7 @@ def test_solve_lp_pole_rule_matches_all_column_lp(monkeypatch):
     for family, pts_a, pts_b, target16 in _pole_rule_cases(rng, 30):
         reference, full = _all_column_lp(pts_a, pts_b, target16)
         lp_rows.clear()
-        residual, weights = solve_lp(pts_a, pts_b, target16)
+        residual, weights, _duals = solve_lp(pts_a, pts_b, target16)
         pinned[family] += lp_rows[0] < 16
         assert weights.shape == (full.shape[1],) and weights.min() >= 0.0
         assert np.max(np.abs(full @ weights - target16)) <= residual + 1e-9
@@ -236,6 +237,132 @@ def test_solve_lp_pole_rule_matches_all_column_lp(monkeypatch):
         lp_rows.clear()
         solve_lp(pts, pts, target.reshape(16))
         assert lp_rows[0] == rows, offset
+
+
+def _bound_cases(rng, count):
+    """(circles_a, circles_b, target) for gate outputs on points of random
+    cylinder and B-space circles at random phases, fitted over random
+    cylinder and B-space output circles, a part of them too small."""
+    def space(r):
+        if rng.random() < 0.5:
+            return cylinder(r)
+        return statespace.b_space(r, rng.uniform(0.3, 0.9))
+
+    for _ in range(count):
+        phi = rng.uniform(0.1, 2 * math.pi - 0.1)
+        r_in = rng.uniform(0.05, 0.4)
+        inputs = space(r_in).profile
+        v = []
+        for _side in range(2):
+            z, r = inputs[rng.integers(len(inputs))]
+            az = rng.uniform(0.0, 2 * math.pi)
+            v.append(BlochVector(r * math.cos(az), r * math.sin(az), z))
+        out_a, out_b = (space(r_in * rng.uniform(0.9, 2.2)) for _side in range(2))
+        yield out_a.profile, out_b.profile, apply_gate_pauli(phi, *v)
+
+
+def _circles_of(pts):
+    """The (z, radius) circles of points on circles about the z axis."""
+    return [(z, float(np.max(np.hypot(*pts[pts[:, 2] == z, :2].T))))
+            for z in np.unique(pts[:, 2])]
+
+
+def _certificate_cases():
+    """Over 200 targets, each with its circles and the points of one LP over
+    them: the gate outputs of `_bound_cases` on 12 azimuths per circle, and
+    the pole-rule family."""
+    rng = np.random.default_rng(83)
+    cases = [(ca, cb, t, _circle_points(ca, 12), _circle_points(cb, 12))
+             for ca, cb, t in _bound_cases(rng, 120)]
+    cases += [(_circles_of(pts_a), _circles_of(pts_b), t16.reshape(4, 4), pts_a, pts_b)
+              for _family, pts_a, pts_b, t16 in _pole_rule_cases(rng, 30)]
+    assert len(cases) >= 200
+    return cases
+
+
+def test_residual_lower_bound_is_sound(monkeypatch):
+    # the dual bound never exceeds the smallest LP residual that a fine grid
+    # with six refinement rounds reaches over the same circles, nor the
+    # residual it returns; a bound <= 0 holds trivially, and the reference
+    # runs with the early stop switched off
+    cases = _certificate_cases()
+    lp_residuals = []
+    real_solve_lp = decompose.solve_lp
+
+    def recording(*args):
+        out = real_solve_lp(*args)
+        lp_residuals.append(out[0])
+        return out
+
+    monkeypatch.setattr(decompose, "solve_lp", recording)
+    monkeypatch.setattr(decompose, "residual_lower_bound", lambda *args: -math.inf)
+    positive = 0
+    for circles_a, circles_b, target, pts_a, pts_b in cases:
+        _lp, _w, duals = real_solve_lp(pts_a, pts_b, target.reshape(16))
+        bound = residual_lower_bound(target, duals, circles_a, circles_b)
+        if bound <= 0.0:
+            continue
+        positive += 1
+        lp_residuals.clear()
+        reached, _d = decompose.decompose_over_circles(
+            target, circles_a, circles_b, 80, 1e-7, refine_rounds=6)
+        assert len(lp_residuals) == 7
+        assert bound <= min(lp_residuals) + 1e-12, (bound, min(lp_residuals))
+        assert bound <= reached + 1e-12
+    assert positive >= 50
+
+
+def test_residual_lower_bound_keeps_every_verdict(monkeypatch):
+    # stopping on the bound gives every target the verdict that all the
+    # refinement rounds give, and never a larger round count
+    cases = _certificate_cases()
+    calls = []
+    real_linprog = decompose.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "linprog", counting)
+    stopped = []
+    for circles_a, circles_b, target, _pts_a, _pts_b in cases:
+        calls.clear()
+        residual, _d = decompose.decompose_over_circles(target, circles_a, circles_b,
+                                                        12, 1e-7)
+        stopped.append((residual <= 1e-7, len(calls)))
+    monkeypatch.setattr(decompose, "residual_lower_bound", lambda *args: -math.inf)
+    fewer = 0
+    for (circles_a, circles_b, target, _pts_a, _pts_b), (verdict, count) in zip(cases, stopped):
+        calls.clear()
+        residual, _d = decompose.decompose_over_circles(target, circles_a, circles_b,
+                                                        12, 1e-7)
+        assert verdict == (residual <= 1e-7)
+        assert count <= len(calls)
+        fewer += count < len(calls)
+    assert fewer >= 50
+
+
+def test_hull_membership_stops_on_the_dual_bound(monkeypatch):
+    # the far-infeasible target of test_hull_membership_infeasible_inside_boundary
+    # is decided by the LP calls of its first round
+    calls = []
+    real_linprog = decompose.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "linprog", counting)
+    r = 0.2
+    r_out = 0.9 * LAMBDA_CZ * r
+    target = apply_gate_pauli(math.pi, BlochVector(r, 0, 1), BlochVector(r, 0, 1))
+    pts = _circle_points(cylinder(r_out).profile, 40)
+    solve_lp(pts, pts, target.reshape(16))
+    first_round = len(calls)
+    calls.clear()
+    feasible, _d, residual = hull_membership(target, r_out, r_out, n=40)
+    assert not feasible and residual > 1e-4
+    assert len(calls) == first_round
 
 
 def test_decompose_fast_path_zero_radius():

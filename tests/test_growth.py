@@ -195,6 +195,24 @@ def test_tail_bound_dominates_exact_tail():
     assert res.tail_bound >= direct
 
 
+def test_tail_bound_combined_powers():
+    # the tail bound with its alpha powers combined matches the separate
+    # powers wherever those are finite, and underflows to 0 where they
+    # would meet as inf * 0
+    for alpha, dim, cutoff in ((1.8, 1, 5000), (3.5, 2, 120), (4.0, 1, 2000),
+                               (5.0, 3, 300), (60.0, 2, 50)):
+        spec = PowerLawSpec(alpha, dim=dim, nn_phase=math.pi, cutoff=cutoff)
+        a23, d = 2 * alpha / 3, dim
+        s = d - 1 - a23
+        separate = (2 ** d / math.factorial(d - 1) * (math.pi / 2) ** (2 / 3)
+                    * (1 + d / cutoff) ** a23
+                    * ((cutoff + d) ** (s + 1) / (-s - 1) + (cutoff + 1 + d) ** s))
+        assert longrange_growth(spec).tail_bound == pytest.approx(separate, rel=1e-13)
+    for dim in (1, 3):
+        huge = longrange_growth(PowerLawSpec(1e308, dim=dim, nn_phase=1.0, cutoff=10))
+        assert huge.tail_bound == 0.0 and huge.verdict == "converges"
+
+
 def test_shell_count_upper_bound():
     # bound used by the tail estimate: shell_count <= 2^D/(D-1)! (l+D)^(D-1)
     for dim in (1, 2, 3, 4):

@@ -51,6 +51,7 @@ def test_bench_lp_runs_on_a_tiny_config(tmp_path):
     for case in tiny["cases"].values():
         assert len(case["runs_s"]) == 2 and case["median_s"] > 0
         assert case["lp_solves"] > 0
+        assert len(case["lp_digests"]) == case["lp_solves"]
     # one r_star for the cylinder; hull, s and t for one Lemma-7 pair
     assert len(tiny["cases"]["rstar-cylinder"]["radii"]) == 1
     assert len(tiny["cases"]["lemma7"]["radii"]) == 3

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cylsim.bloch import BlochVector
+from cylsim import decompose, statespace
+from cylsim.bloch import BlochVector, apply_gate_pauli
 from cylsim.growth import LAMBDA_CZ
 from cylsim.statespace import (
     SymmetricStateSpace,
@@ -170,3 +171,59 @@ def test_twirl_monotonicity_small():
                                  reps_a=reps_a, reps_b=reps_b)
         r_sym = r_star(sym, cylinder(0.25), math.pi, n=n, tol=tol)
         assert r_sym <= r_raw + 2 * tol
+
+
+def _lp_fits(target, space_a, space_b, n=40, lp_tol=1e-7):
+    """The LP verdict that `_fits` gave every target before the product rule."""
+    return decompose.decompose_over_circles(target, space_a.profile, space_b.profile,
+                                            n, lp_tol, refine_rounds=2)[0] <= lp_tol
+
+
+def test_product_targets_get_the_lp_verdict():
+    # a product target is decided factor by factor, with the LP's verdict on
+    # both sides of the hull boundary: factor radii at 1 -+ 1e-3 times the
+    # space's radius at the factor's z, inside the hull and at the poles,
+    # over cylinder and B-space circles
+    rng = np.random.default_rng(97)
+    spaces = [cylinder(0.3), b_space(0.4, 0.6)]
+    checked = {True: 0, False: 0}
+    for space in spaces:
+        for other in spaces:
+            lo, hi = space.z_extent()
+            for z in (lo, -0.8, -0.3, 0.2, 0.6, 0.9, hi):
+                rho = space.radius_at(z)
+                for scale, inside in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+                    # at a B-space pole the outside factor sits 1e-3 off the axis
+                    r = rho * scale if rho > 0.0 else (0.0 if inside else 1e-3)
+                    az = rng.uniform(0.0, 2 * math.pi)
+                    a = BlochVector(r * math.cos(az), r * math.sin(az), z)
+                    z_b, r_b = other.profile[rng.integers(len(other.profile))]
+                    b = BlochVector(0.5 * r_b, 0.0, z_b)
+                    # the probed factor on side A, then on side B
+                    for target, sides in ((np.outer(a.coeffs(), b.coeffs()), (space, other)),
+                                          (np.outer(b.coeffs(), a.coeffs()), (other, space))):
+                        verdict = statespace._fits(target, *sides, 40, 1e-7)
+                        assert verdict == inside == _lp_fits(target, *sides), (z, scale)
+                        checked[inside] += 1
+    assert min(checked.values()) >= 40
+
+
+def test_pole_disc_targets_solve_no_lp(monkeypatch):
+    # every gate output on a pole and a disc point is a product: the search
+    # over them makes no linprog call
+    calls = []
+    real_linprog = decompose.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "linprog", counting)
+    r = min_output_radius(b_space(0.0, 0.5), b_space(0.3, 0.8), math.pi, tol=1e-3)
+    assert calls == []
+    assert 0.3 <= r <= 0.3 + 1e-3
+    target = apply_gate_pauli(math.pi, BlochVector(0.0, 0.0, 1.0),
+                              BlochVector(0.3, 0.0, 0.8))
+    assert statespace._fits(target, cylinder(0.3), cylinder(0.3), 40, 1e-7)
+    assert not statespace._fits(target, cylinder(0.29), cylinder(0.29), 40, 1e-7)
+    assert calls == []
