@@ -17,15 +17,14 @@ Cases:
                   symmetrization, `--instances` sets, continuing that seed.
 
 BLAS is pinned to one thread before numpy loads.  Each case runs `--repeats`
-times.  Every run time, their median, the LP solves of the first run, one
-digest per solve and the radii it returned are stored under `--label` in the
-output file (other labels in it are kept), with the machine and the Python,
-numpy and scipy versions.  A solve's digest is the first DIGEST_HEX hex
-digits of the sha256 over its `c`, `A_ub` and `b_ub` and its result's `x`,
-`fun` and `ineqlin.marginals`.  For every other label in the file that has
-the same case, the script prints whether this run's calls are a subsequence
-of that label's: whether every LP it solved is bitwise one the other solved,
-in the same order.
+times.  Every run time, their median, the HiGHS runs of the first repeat
+(`decompose.run_master` calls, one per column-generation round), one digest
+per run and the radii it returned are stored under `--label` in the output
+file (other labels in it are kept), with the machine and the Python, numpy
+and scipy versions.  A run's digest is the first DIGEST_HEX hex digits of
+the sha256 over the master's column count and the x, objective and row
+duals it returned.  For every other label in the file that has the same
+case, the script prints whether the radii are identical.
 `--src` names the package source to time, so one checkout can time another
 (for example a copy of the parent commit).
 """
@@ -48,20 +47,14 @@ CASES = ("criterion5", "rstar-cylinder", "lemma7", "twirl")
 DIGEST_HEX = 16
 
 
-def lp_digest(c, A_ub, b_ub, res) -> str:
-    """Digest of one `linprog` call: its LP and the solution it returned."""
+def lp_digest(num_col, x, objective, row_duals) -> str:
+    """Digest of one HiGHS run: the master's size and the solution it gave."""
     import numpy as np
 
     h = hashlib.sha256()
-    for part in (c, A_ub, b_ub, res.x, res.fun, res.ineqlin.marginals):
+    for part in (num_col, x, objective, row_duals):
         h.update(np.ascontiguousarray(part, dtype=float).tobytes())
     return h.hexdigest()[:DIGEST_HEX]
-
-
-def is_subsequence(after: list[str], before: list[str]) -> bool:
-    """Whether `after`'s digests occur in `before` in the same order."""
-    it = iter(before)
-    return all(d in it for d in after)
 
 
 def _criterion5():
@@ -130,14 +123,14 @@ def main(argv=None) -> int:
     from cylsim import decompose
 
     digests: list[str] = []
-    linprog = decompose.linprog
+    run_master = decompose.run_master
 
-    def counted(c, A_ub, b_ub, **kw):
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, **kw)
-        digests.append(lp_digest(c, A_ub, b_ub, res))
-        return res
+    def counted(highs, rhs):
+        out = run_master(highs, rhs)
+        digests.append(lp_digest(highs.getNumCol(), *out))
+        return out
 
-    decompose.linprog = counted
+    decompose.run_master = counted
     run_case = {"criterion5": _criterion5,
                 "rstar-cylinder": _rstar_cylinder,
                 "lemma7": lambda: _criterion8_loops(args.instances, twirl=False),
@@ -156,7 +149,7 @@ def main(argv=None) -> int:
                        "lp_solves": len(first), "lp_digests": first,
                        "radii": radii}
         print(f"{args.label} {name}: median {cases[name]['median_s']:.3f} s "
-              f"over {len(runs)} runs, {len(first)} LPs", file=sys.stderr,
+              f"over {len(runs)} runs, {len(first)} HiGHS runs", file=sys.stderr,
               flush=True)
 
     save(args.output, args.label, {**environment(), "blas_threads": 1, "cases": cases})
@@ -164,12 +157,12 @@ def main(argv=None) -> int:
         record = json.load(f)
     for other, entry in record.items():
         for name, case in cases.items():
-            theirs = entry.get("cases", {}).get(name, {}).get("lp_digests")
+            theirs = entry.get("cases", {}).get(name, {}).get("radii")
             if other == args.label or theirs is None:
                 continue
-            verdict = "a" if is_subsequence(case["lp_digests"], theirs) else "NOT a"
-            print(f"{args.label} {name}: {len(case['lp_digests'])} LPs, {verdict} "
-                  f"subsequence of {other}'s {len(theirs)}", file=sys.stderr)
+            verdict = "identical to" if case["radii"] == theirs else "NOT identical to"
+            print(f"{args.label} {name}: {len(case['radii'])} radii, {verdict} "
+                  f"{other}'s", file=sys.stderr)
     return 0
 
 

@@ -10,7 +10,11 @@ Z-rotations).  General state spaces: one LP core, `solve_lp`, for
 nonnegative weights over candidate extremal points, minimising the
 worst-case coefficient residual, so infeasibility is reported
 quantitatively; a side whose target sits at its highest or lowest candidate
-z keeps only that z's candidates.  Candidate points are always true extremal
+z keeps only that z's candidates.  It prices candidates in by column
+generation on one HiGHS model per call (the binding scipy.optimize drives):
+each round adds its columns to the master in place and re-runs primal
+simplex from the last basis, instead of rebuilding the LP; every run goes
+through `run_master`.  Candidate points are always true extremal
 points of the target spaces, so the discretized hull under-approximates the
 exact one and feasibility claims are conservative.  An adaptive azimuth
 refinement (repeated halving around the active support) recovers boundary
@@ -24,7 +28,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.optimize._highspy._core as _h
 
 from .bloch import PAULI, ZERO_RADIUS, BlochVector, apply_gate_pauli, radius
 from .growth import fold_phase, lemma1_feasible
@@ -37,6 +41,19 @@ EXACT_TOL = 1e-12
 _CG_START = 256
 _CG_BATCH = 128
 _CG_PRICE_TOL = 1e-10
+# HiGHS options of the master LP (see `solve_lp`): silent; no presolve, as
+# every round but the first resumes from a basis; no scaling, which left
+# resumed solves closer to a cold all-column solve on the searches' LPs;
+# primal simplex, which resumes in a few iterations after columns are
+# added, as the basis stays primal feasible; and a dual tolerance tight
+# enough that the resumed master stops at the all-column optimum (at
+# HiGHS's default of 1e-7 it can stop about 1e-8 above it).
+_HIGHS_OPTIONS = (("output_flag", False), ("presolve", "off"),
+                  ("simplex_scale_strategy", 0), ("simplex_strategy", 4),
+                  ("dual_feasibility_tolerance", 1e-10))
+# Most negative x or row slack accepted: 10 sqrt(1e-9), the check that
+# scipy.optimize applies to a HiGHS solution.
+_FEAS_TOL = 10.0 * math.sqrt(1e-9)
 # Azimuths per side-A circle at which `residual_lower_bound` samples the
 # dual; a Lipschitz margin covers the azimuths between them.
 _BOUND_GRID = 4096
@@ -53,19 +70,6 @@ class InfeasibleRequest(ValueError):
 
 class NonExtremalInput(ValueError):
     """The closed form needs extremal inputs (z = +-1) on coherent gates."""
-
-
-def coupling_operator(f_a: float, f_b: float, phi: float) -> np.ndarray:
-    """The reduced two-qubit coupling operator (I + fA X)(x)(I + fB X) plus
-    the phase coupling on |00><11|.  Its determinant is growth.lemma1_lhs,
-    whose sign decides separability for f_a, f_b < 1 (one eigenvalue at most
-    can be negative there)."""
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    op = np.kron(np.eye(2) + f_a * X, np.eye(2) + f_b * X).astype(complex)
-    g = f_a * f_b * (np.exp(-1j * phi) - 1.0)
-    op[0, 3] += g
-    op[3, 0] += np.conj(g)
-    return op
 
 
 class Decomposition(NamedTuple):
@@ -200,6 +204,34 @@ def _pole_rule(z_row, i_row, zs):
     return np.arange(len(zs)), False
 
 
+def _add_columns(highs, cost, block):
+    """Append the columns of the dense (rows, k) `block`, bounded below by 0,
+    with the given costs."""
+    rows, k = block.shape
+    highs.addCols(k, cost, np.zeros(k), np.full(k, _h.kHighsInf), rows * k,
+                  np.arange(0, rows * k, rows, dtype=np.int32),
+                  np.tile(np.arange(rows, dtype=np.int32), k),
+                  np.ascontiguousarray(block.T).reshape(-1))
+
+
+def run_master(highs, rhs):
+    """Run HiGHS on a master LP with rows `... <= rhs` from its current
+    basis, and return (x, objective, row duals).  Every LP solve in cylsim
+    goes through here.  Raises SolverFailure unless the model is optimal and
+    x and the row slacks are free of NaN and above -_FEAS_TOL."""
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _h.HighsModelStatus.kOptimal:
+        raise SolverFailure(f"HiGHS status {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = rhs - np.array(solution.row_value)
+    if not (np.all(x >= -_FEAS_TOL) and np.all(slack >= -_FEAS_TOL)):
+        raise SolverFailure("HiGHS status Optimal, but its solution breaks a "
+                            "bound or a row by more than the tolerance")
+    return x, highs.getInfo().objective_function_value, np.array(solution.row_dual)
+
+
 def solve_lp(pts_a, pts_b, target16):
     """Min-residual LP: nonnegative weights over product candidates whose
     Pauli coefficients match the target within the smallest possible L-inf
@@ -217,10 +249,15 @@ def solve_lp(pts_a, pts_b, target16):
     candidate has a pole twin with the same x and y (cylinder circles);
     over other candidate sets it can come out above the all-column minimum.
 
-    Column generation: from about _CG_START strided columns, each round adds
-    the _CG_BATCH columns of most negative reduced cost until none is below
-    -_CG_PRICE_TOL.  Weights sum to one and duals have L1 norm <= 1, so the
-    objective is within _CG_PRICE_TOL of the LP over all columns."""
+    Column generation (Gilmore & Gomory, Oper. Res. 9, 849 (1961)) on one
+    HiGHS model, created and dropped here: it starts with the residual
+    column t and the rows A w - t <= b, -A w - t <= -b; from about _CG_START
+    strided columns, each round adds the _CG_BATCH columns of most negative
+    reduced cost in place and re-solves from the last basis, until none is
+    below -_CG_PRICE_TOL.  Weights sum to one and duals have L1 norm <= 1,
+    so the objective is within _CG_PRICE_TOL of the LP over all columns.
+    The weights and the residual are clipped at 0, which a resumed solve can
+    miss by rounding."""
     m = target16.reshape(4, 4)
     keep_a, pin_a = _pole_rule(m[3, :], m[0, :], pts_a[:, 2])
     keep_b, pin_b = _pole_rule(m[:, 3], m[:, 0], pts_b[:, 2])
@@ -235,33 +272,31 @@ def solve_lp(pts_a, pts_b, target16):
     A = np.einsum("ia,jb->abij", ca, cb).reshape(16, -1)[rows]
     b = target16[rows]
     nrows, ncols = A.shape
-    ones = np.ones((nrows, 1))
-    b_ub = np.concatenate([b, -b])
-    cols = np.arange(0, ncols, max(1, ncols // _CG_START))
-    while True:
-        sub = A[:, cols]
-        cost = np.zeros(len(cols) + 1)
-        cost[-1] = 1.0
-        a_ub = np.vstack([np.hstack([sub, -ones]), np.hstack([-sub, -ones])])
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
-                      method="highs")
-        if res.status != 0:
-            raise SolverFailure(f"linprog status {res.status}: {res.message}")
-        duals = res.ineqlin.marginals
+    rhs = np.concatenate([b, -b])
+    highs = _h._Highs()
+    for name, value in _HIGHS_OPTIONS:
+        highs.setOptionValue(name, value)
+    highs.addRows(2 * nrows, np.full(2 * nrows, -_h.kHighsInf), rhs, 0,
+                  np.zeros(2 * nrows, dtype=np.int32), np.zeros(0, dtype=np.int32),
+                  np.zeros(0))
+    _add_columns(highs, np.ones(1), -np.ones((2 * nrows, 1)))  # the residual t
+    cols = np.zeros(0, dtype=np.intp)
+    new = np.arange(0, ncols, max(1, ncols // _CG_START))
+    while len(new):
+        _add_columns(highs, np.zeros(len(new)), np.vstack([A[:, new], -A[:, new]]))
+        cols = np.concatenate([cols, new])
+        x, residual, duals = run_master(highs, rhs)
         reduced = A.T @ (duals[nrows:] - duals[:nrows])
         reduced[cols] = np.inf
         new = np.argsort(reduced)[:_CG_BATCH]
         new = new[reduced[new] < -_CG_PRICE_TOL]
-        if len(new) == 0:
-            break
-        cols = np.concatenate([cols, new])
     kept = np.zeros(ncols)
-    kept[cols] = res.x[:-1]
+    kept[cols] = np.maximum(x[1:], 0.0)
     weights = np.zeros((len(pts_a), len(pts_b)))
     weights[np.ix_(keep_a, keep_b)] = kept.reshape(len(keep_a), len(keep_b))
     y = np.zeros(16)
     y[rows] = duals[nrows:] - duals[:nrows]
-    return res.fun, weights.reshape(-1), y
+    return max(residual, 0.0), weights.reshape(-1), y
 
 
 def _kept_circles(circles, z_row, i_row):

@@ -199,11 +199,12 @@ def longrange_growth(spec: PowerLawSpec) -> LongRangeResult:
     if not converges:
         return LongRangeResult(total, "diverges", math.inf)
 
-    if spec.phase_at(spec.cutoff + 1) > _ASYMPTOTIC_PHASE:
+    # lambda reads the folded phase, so a negative phase_1 passes as well
+    tail_phase = fold_phase(spec.phase_at(spec.cutoff + 1))
+    if tail_phase > _ASYMPTOTIC_PHASE:
         raise CutoffTooSmall(
-            f"phase at distance {spec.cutoff + 1} is "
-            f"{spec.phase_at(spec.cutoff + 1):.3g}; increase the cutoff so the "
-            "small-phase asymptote applies to the tail")
+            f"phase at distance {spec.cutoff + 1} is {tail_phase:.3g}; increase "
+            "the cutoff so the small-phase asymptote applies to the tail")
     # Integral upper bound on the tail: shell_count(D, l) <= c_D (l + D)^(D-1)
     # with c_D = 2^D / (D-1)!, and ln(lambda) ~ (phi/2)^(2/3), so terms are
     # below c_D (phi_1/2)^(2/3) (1 + D/l)^(2a/3) (l + D)^s with
@@ -216,7 +217,9 @@ def longrange_growth(spec: PowerLawSpec) -> LongRangeResult:
     a23 = 2.0 * spec.alpha / 3.0
     s = d - 1 - a23
     c_d = 2.0 ** d / math.factorial(d - 1)
-    phi_1 = spec.nn_phase if spec.nn_phase is not None else spec.time
+    # |phi(l)| = |phi_1| l^-alpha beyond the cutoff, unfolded: a phi_1 of 7
+    # is 7 at distance 1, not its folded 0.717
+    phi_1 = abs(spec.nn_phase if spec.nn_phase is not None else spec.time)
     prefactor = c_d * (phi_1 / 2.0) ** (2.0 / 3.0)
     # (1 + D/L)^(2a/3) (L + D)^(s+1) = L^(-2a/3) (L + D)^D
     head = (l1 + d) ** d * float(l1) ** -a23 / (-s - 1)

