@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's gettext imports it in build_parser: load it here
 import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from .decompose import EXACT_TOL, InfeasibleRequest, SolverFailure
@@ -400,7 +403,22 @@ def build_parser() -> _Parser:
     return p
 
 
+def _keep_freed_heap() -> None:
+    """Let glibc's malloc keep freed memory for reuse.  By default it returns
+    the free top of the heap to the OS once that exceeds 128 KiB, so arrays
+    that the sampler, the oracle and the LP searches free and allocate again
+    fault their pages in afresh (about 600 more page faults on an
+    8000-sample chain run).  Freeing a block served by mmap raises malloc's
+    dynamic thresholds to that block's size (mallopt(3)): smaller blocks then
+    come from the heap, which keeps up to twice that size free.  Other
+    allocators just allocate and free the block, whose pages are never
+    touched.  The criterion-5 search-space run faults in about 1700 pages
+    with a 4 MiB block, 2700 with 2 MiB and 6700 without."""
+    np.empty(4 << 20, dtype=np.uint8)  # freed at once
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,10 +11,12 @@ nonnegative weights over candidate extremal points, minimising the
 worst-case coefficient residual, so infeasibility is reported
 quantitatively; a side whose target sits at its highest or lowest candidate
 z keeps only that z's candidates.  It prices candidates in by column
-generation on one HiGHS model per call (the binding scipy.optimize drives):
-each round adds its columns to the master in place and re-runs primal
-simplex from the last basis, instead of rebuilding the LP; every run goes
-through `run_master`.  Candidate points are always true extremal
+generation on one HiGHS model per call: each round adds its columns to the
+master in place and re-runs primal simplex from the last basis, instead of
+rebuilding the LP; every run goes through `run_master`.  The HiGHS binding
+is scipy's extension module `scipy.optimize._highspy._core`, which
+`_load_highs` loads from its file: `scipy.optimize` itself is never
+imported.  Candidate points are always true extremal
 points of the target spaces, so the discretized hull under-approximates the
 exact one and feasibility claims are conservative.  An adaptive azimuth
 refinement (repeated halving around the active support) recovers boundary
@@ -24,14 +26,45 @@ decompositions live in `statespace`.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize._highspy._core as _h
+import numpy.ma  # noqa: F401  np.unique imports it on first call: load it here
 
 from .bloch import PAULI, ZERO_RADIUS, BlochVector, apply_gate_pauli, radius
 from .growth import fold_phase, lemma1_feasible
+
+
+def _load_highs():
+    """scipy's HiGHS binding, the extension module
+    `scipy.optimize._highspy._core`, loaded from its file and registered
+    under that name.  Importing it by name would first run
+    `scipy.optimize/__init__.py`, which loads scipy.linalg, linprog and more
+    (about 0.5 s and 40 MB) that cylsim never uses; `find_spec` locates the
+    top-level scipy package without running its `__init__`."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:  # scipy.optimize loaded it first
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy is not None else []
+    paths = [os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+             for root in roots for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"cylsim needs scipy>=1.17: no {name} extension found")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_h = _load_highs()
 
 _WEIGHT_EPS = 1e-12
 # Closed form: eigenvalue clamp and largest accepted coefficient residual.

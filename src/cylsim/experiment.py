@@ -158,6 +158,8 @@ class SamplerSettings:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
+        if not 0 <= self.seed < 2 ** 128:  # the sampler's Philox key is 128 bits
+            raise ValueError(f"seed must be >= 0 and < 2**128, not {self.seed!r}")
         if self.discretization < 1:
             raise ValueError("discretization must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):

@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random import Generator, Philox  # numpy loads it lazily: load it here
 
 from . import decompose
 from .bloch import ZERO_RADIUS, BlochVector, measure_prob
@@ -67,8 +68,7 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
     n, seed = spec.sampler.num_samples, spec.sampler.seed
 
     def uniform(step):
-        return np.random.Generator(
-            np.random.Philox(key=seed, counter=[0, 0, 0, step])).random(n)
+        return Generator(Philox(key=seed, counter=[0, 0, 0, step])).random(n)
 
     nodes = spec.node_ids()
     xy, z = {}, {}
@@ -90,7 +90,8 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
             code = (z[a] + 1) * 3 + (z[b] + 1)
             new_xy = {a: np.empty(n, complex), b: np.empty(n, complex)}
             new_z = {a: np.empty(n, np.int8), b: np.empty(n, np.int8)}
-            for c in np.unique(code):
+            # the codes present, ascending (np.unique would import numpy.ma here)
+            for c in np.flatnonzero(np.bincount(code, minlength=9)):
                 z_a, z_b = divmod(int(c), 3)
                 d = decompose.decompose_gate_output(
                     BlochVector(r_a, 0.0, z_a - 1), BlochVector(r_b, 0.0, z_b - 1),

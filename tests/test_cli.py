@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +183,40 @@ def test_search_space_csv_trail(capsys):
         if ok == "True" and float(r) < 1.0:
             # feasible radii have first-gate output cylinders within budget
             assert float(r1) <= 1 / (2.0581710272714924 ** 2) + 5e-3
+
+
+# Page faults of 20 rounds of sixteen 120 KB arrays allocated and freed,
+# before and after one `main` call, in a fresh interpreter.
+_HEAP_PROBE = """
+import contextlib, io, resource
+import numpy as np
+import cylsim.cli
+
+def churn():
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        [np.ones(15_000) for _ in range(16)]
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+
+before = churn()
+with contextlib.redirect_stdout(io.StringIO()):
+    cylsim.cli.main(["growth", "--points", "2"])
+print(before, churn())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_main_keeps_freed_heap_for_reuse():
+    """Arrays below malloc's mmap threshold, freed and allocated again, reuse
+    heap pages after `main` instead of faulting fresh ones in each round."""
+    src = str(Path(cylsim.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _HEAP_PROBE], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    before, after = map(int, proc.stdout.split())
+    assert before > 1000  # the default thresholds trim the heap every round
+    assert after * 5 < before
 
 
 @pytest.mark.parametrize("flag", [
@@ -456,6 +491,31 @@ def test_malformed_spec_rejected(capsys, tmp_path, command, patch):
     assert code == 4, err
     assert out == "" and err.startswith("bad input:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("spec_seed, flags", [
+    (-1, []), (2 ** 128, []), (0, ["--seed", "-1"]), (0, ["--seed", str(2 ** 128)]),
+], ids=["spec-negative", "spec-2**128", "flag-negative", "flag-2**128"])
+def test_out_of_range_seed_rejected(capsys, tmp_path, command, spec_seed, flags):
+    """The sampler keys Philox with the seed, which takes 0 <= seed < 2**128;
+    a seed outside that is bad input that names the seed."""
+    spec = _pair_spec()
+    spec["sampler"]["seed"] = spec_seed
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli([command, "--spec", str(path), *flags], capsys)
+    assert code == 4, err
+    assert out == "" and err.startswith("bad input:") and "seed" in err
+    assert err.count("\n") == 1
+
+
+def test_largest_seed_accepted(capsys, tmp_path):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(_pair_spec()))
+    code, _, err = run_cli(["simulate", "--spec", str(path),
+                            "--seed", str(2 ** 128 - 1)], capsys)
+    assert code == 0, err
 
 
 def test_negative_branch_probability_exit_code(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,7 @@
+import importlib.machinery
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -559,3 +562,15 @@ def test_min_output_radius_cylinders():
 def test_bisect_no_upper_bracket():
     with pytest.raises(statespace.NoUpperBracket):
         statespace.bisect_min_radius(lambda r: False, tol=1e-3)
+
+
+def test_highs_loader_names_the_scipy_it_needs(monkeypatch, tmp_path):
+    """A scipy without the HiGHS extension file is an ImportError that names
+    the scipy cylsim needs."""
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: scipy if name == "scipy" else None)
+    with pytest.raises(ImportError, match=r"scipy>=1\.17"):
+        decompose._load_highs()

@@ -6,7 +6,11 @@ detail of its module; anything another module needs is made public where it
 is defined.  The rule covers `from .x import _name` and `x._name` on a
 module bound by `from . import x` or `import cylsim.x`.
 
-Only `decompose` imports scipy, so the LP solver stays behind one module.
+Only `decompose` loads scipy code, by import or by path, so the LP solver
+stays behind one module.  It loads scipy's HiGHS extension from its file, so
+importing cylsim runs no `scipy.optimize` package code, and every module an
+operation needs loads with cylsim: `cylsim.cli.main` imports nothing more on
+the benchmark's commands.
 
 No module memoises with `functools.lru_cache` or `functools.cache`: a
 module-level cache is mutable state shared by every caller.
@@ -17,6 +21,10 @@ one value, and each value has one.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cylsim
@@ -77,14 +85,26 @@ def test_private_import_guard_catches_each_form():
                            "import numpy as np\nnp._NoValue") == []
 
 
+# importlib calls that import, locate or load a module named by their first
+# argument
+_LOADERS = {"__import__", "import_module", "find_spec", "spec_from_file_location"}
+
+
 def scipy_imports(source: str) -> list[int]:
-    """Lines that import scipy or one of its submodules."""
+    """Lines that import scipy or one of its submodules, by an import
+    statement or by a loader call whose first argument is a string naming
+    it."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module or ""]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) in _LOADERS):
+            names = [node.args[0].value]
         else:
             continue
         if any(name.split(".")[0] == "scipy" for name in names):
@@ -103,8 +123,74 @@ def test_scipy_guard_catches_each_form():
     assert scipy_imports("import numpy\nimport scipy.linalg as sl") == [2]
     assert scipy_imports("import os, scipy") == [1]
     assert scipy_imports("import scipy.optimize._highspy._core as _h") == [1]
-    # relative imports and look-alike names are not scipy
+    assert scipy_imports("import importlib\nimportlib.import_module('scipy.linalg')") == [2]
+    assert scipy_imports("from importlib.util import find_spec\nfind_spec('scipy')") == [2]
+    assert scipy_imports("import importlib.util as u\nu.spec_from_file_location(\n"
+                         "    'scipy.optimize._highspy._core', path)") == [2]
+    assert scipy_imports("m = __import__('scipy.optimize')") == [1]
+    # relative imports, look-alike names, other modules' names and strings
+    # outside a loader call are not scipy
     assert scipy_imports("from .decompose import linprog\nimport scipyx") == []
+    assert scipy_imports("import_module('scipyx')\nfind_spec('numpy')\n"
+                         "find_spec(name)\nprint('scipy')") == []
+
+
+# Run in a fresh interpreter: import cylsim.cli, run main on each argv of
+# sys.argv[1], then solve a linprog with scipy's own HiGHS wrapper.
+_SPLIT_PROBE = """
+import contextlib, io, json, sys
+
+import cylsim.cli
+from cylsim import decompose
+
+report = {"loaded": [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules],
+          "ops": []}
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cylsim.cli.main(argv)
+    report["ops"].append([argv[0], code, sorted(set(sys.modules) - before)])
+import scipy.optimize._highspy._core as core
+from scipy.optimize import linprog
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+report["same_core"] = core is decompose._h
+report["linprog"] = [res.status, res.fun]
+print(json.dumps(report))
+"""
+
+
+def test_operations_import_nothing(tmp_path):
+    theta = 0.1
+    chain = {"version": 1, "graph": [[0, 1], [1, 2]],
+             "inputs": {str(i): {"theta": theta} for i in range(3)},
+             "gates": [{"edge": [0, 1], "phi": 3.14}, {"edge": [1, 2], "phi": 3.14}],
+             "schedule": [{"node": i, "kind": "XY", "omega": 0.0} for i in range(3)],
+             "sampler": {"num_samples": 50, "seed": 1}}
+    edges = [[0, 1], [2, 3], [0, 2], [1, 3]]
+    schedule = [{"node": i, "kind": "XY", "omega": 0.0, "mode": "quasi-destructive"}
+                for i in range(4)]
+    schedule[2]["adaptive"] = {"nodes": [0, 1], "angles": [0.3, 1.1]}
+    grid = {"version": 1, "graph": edges,
+            "inputs": {str(i): {"theta": theta} for i in range(4)},
+            "gates": [{"edge": e, "phi": 3.14} for e in edges],
+            "schedule": schedule, "sampler": {"num_samples": 50, "seed": 2}}
+    (tmp_path / "chain.json").write_text(json.dumps(chain))
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    argvs = [["simulate", "--spec", str(tmp_path / "chain.json")],
+             ["verify", "--spec", str(tmp_path / "grid.json")],
+             ["search-space", "--delta", "3", "--discretization", "8",
+              "--search-tol", "1e-2"]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SPLIT_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          check=True)
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    assert report["ops"] == [[argv[0], 0, []] for argv in argvs]
+    # scipy's own HiGHS wrapper still works, on the module cylsim loaded
+    assert report["same_core"]
+    assert report["linprog"] == [0, 1.0]
 
 
 _CACHES = {"lru_cache", "cache"}

@@ -57,3 +57,24 @@ def test_bench_lp_runs_on_a_tiny_config(tmp_path):
     assert len(tiny["cases"]["lemma7"]["radii"]) == 3
     assert {"numpy", "scipy", "python"} <= set(tiny["versions"])
     assert tiny["blas_threads"] == 1
+
+
+def test_bench_import_runs_on_a_tiny_config(tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps(
+        {"before": {"commands": {"search_space": {"stdout_sha256": "0"}}}}))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_import.py"),
+                           "--label", "tiny", "--repeats", "1", "--output", str(out)],
+                          check=True, capture_output=True, text=True, timeout=120)
+    record = json.loads(out.read_text())
+    assert set(record) == {"before", "tiny"}  # other labels are kept
+    tiny = record["tiny"]
+    assert set(tiny["commands"]) == {"simulate_chain", "simulate_powerlaw",
+                                     "verify_grid", "search_space"}
+    for case in tiny["commands"].values():
+        assert len(case["wall_s"]["runs"]) == 1 and case["wall_s"]["median"] > 0
+        assert len(case["stdout_sha256"]) == 64
+    assert tiny["import_s"]["median"] > 0 and tiny["rss_after_import_mb"]["median"] > 0
+    assert "search_space: stdout NOT identical to before's" in proc.stderr
+    assert {"numpy", "scipy", "python"} <= set(tiny["versions"])
+    assert tiny["blas_threads"] == 1
