@@ -10,16 +10,19 @@ quasi-destructive and once destructive, and the benchmark's 2x4 grid
 (`grid_spec`).  BLAS is pinned to one thread before numpy loads.  Each case
 runs `--repeats` times, or stops after a run longer than BUDGET_S seconds
 (the Kronecker-projector oracle took minutes at 10 qubits).  Every run time,
-their median, the outcome count and the pruned mass are stored under
-`--label` in the output file (other labels in it are kept), with the machine
-and the Python, numpy and scipy versions.  `--src` names the package source
-to time, so one checkout can time another (for example a copy of the parent
-commit).
+their median, the outcome count, the pruned mass and `probs_sha256` (the
+SHA-256 of the sorted outcomes and their probabilities to 12 decimal places,
+so two labels that timed the same answer show the same digest) are stored
+under `--label` in the output file (other labels in it are kept), with
+the machine and the Python, numpy and scipy versions.  `--src` names the
+package source to time, so one checkout can time another (for example a copy
+of the parent commit).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -86,12 +89,21 @@ def main(argv=None) -> int:
                        "median_s": statistics.median(runs),
                        "runs_s": runs,
                        "outcomes": len(dist.probs),
-                       "pruned_mass": dist.pruned_mass}
+                       "pruned_mass": dist.pruned_mass,
+                       "probs_sha256": probs_digest(dist.probs)}
         print(f"{args.label} {name}: median {cases[name]['median_s']:.4f} s "
               f"over {len(runs)} runs", file=sys.stderr, flush=True)
 
     save(args.output, args.label, {**environment(), "blas_threads": 1, "cases": cases})
     return 0
+
+
+def probs_digest(probs: dict[str, float]) -> str:
+    """SHA-256 of the sorted `outcome,probability` lines, probabilities to
+    12 decimal places: values that differ only by rounding (about 1e-17)
+    give the same lines unless one lies that close to a multiple of 5e-13."""
+    text = "".join(f"{key},{p:.12f}\n" for key, p in sorted(probs.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def environment() -> dict:

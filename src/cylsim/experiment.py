@@ -250,6 +250,10 @@ class ExperimentSpec:
                 raise ValueError(f"measured node {m.node} does not exist")
             if m.node in seen:
                 raise ValueError(f"node {m.node} measured twice")
+            for node in m.adaptive.nodes if m.adaptive else ():
+                if node not in seen:
+                    raise ValueError(f"adaptive rule of node {m.node} reads node "
+                                     f"{node}, which is not measured before it")
             seen.add(m.node)
         # destructive-measured nodes must not appear in any later gate
         destroyed: set[int] = set()

@@ -493,6 +493,29 @@ def test_malformed_spec_rejected(capsys, tmp_path, command, patch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "exact"])
+def test_adaptive_rule_on_unmeasured_node_rejected_when_parsed(
+        capsys, tmp_path, monkeypatch, command):
+    """An adaptive rule reads only nodes measured before it.  A rule on a
+    later node is bad input that names the node, before the sampler or the
+    oracle runs."""
+    from cylsim import cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the spec reached the sampler or the oracle")
+
+    monkeypatch.setattr(cli, "run_branches", no_work)
+    monkeypatch.setattr(cli, "exact_distribution", no_work)
+    spec = _pair_spec()
+    spec["schedule"][0]["adaptive"] = {"nodes": [1], "angles": [0.3, 0.6]}
+    path = tmp_path / "adaptive.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli([command, "--spec", str(path)], capsys)
+    assert code == 4, err
+    assert out == "" and err.startswith("bad input:") and "node 1" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("spec_seed, flags", [
     (-1, []), (2 ** 128, []), (0, ["--seed", "-1"]), (0, ["--seed", str(2 ** 128)]),

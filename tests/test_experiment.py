@@ -145,6 +145,21 @@ def test_validation_errors():
                        sampler=SamplerSettings())
 
 
+def test_adaptive_rule_reads_only_earlier_measurements():
+    def spec(rule_nodes):
+        return ExperimentSpec(
+            edges=[(0, 1)], inputs={0: NodeInput(0.1), 1: NodeInput(0.1)}, gates=[],
+            schedule=[MeasureStep(0, MeasurementSpec("XY")),
+                      MeasureStep(1, MeasurementSpec("XY"),
+                                  AdaptiveRule(rule_nodes, (0.3, 0.6)))],
+            sampler=SamplerSettings())
+
+    assert spec((0,)).schedule[1].adaptive.nodes == (0,)
+    for rule_nodes, named in (((1,), 1), ((0, 1), 1), ((2,), 2)):
+        with pytest.raises(ValueError, match=f"reads node {named},"):
+            spec(rule_nodes)
+
+
 def test_destructive_reuse_rejected():
     with pytest.raises(ValueError, match="destructively"):
         ExperimentSpec(

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from cylsim.bloch import (
     DiagonalGate,
     MeasurementSpec,
     apply_gate_pauli,
+    measure_prob,
 )
 from cylsim.experiment import (
     AdaptiveRule,
@@ -339,3 +343,72 @@ def test_exact_distribution_matches_kronecker_reference(monkeypatch):
             m.node in g.edge for m in spec.schedule[:g.after_measurement + 1])
             for g in spec.gates)
     assert reused > 30 and pruned > 10  # gates on dephased nodes, and pruning
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file (its dataclasses need it in
+    sys.modules)."""
+    if "bench_workloads" not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = importlib.util.module_from_spec(module_spec)
+        sys.modules["bench_workloads"] = module
+        module_spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]
+
+
+def test_product_state_at_the_cap_factorises():
+    """MAX_QUBITS nodes and no gates: each outcome's probability is the
+    product of the single-qubit Born probabilities, in schedule order."""
+    rng = np.random.default_rng(10)
+    n = oracle.MAX_QUBITS
+    inputs = {k: NodeInput(float(rng.uniform(0.3, 2.8)), float(rng.uniform(0, 2 * math.pi)),
+                           float(rng.uniform(0.5, 1.0))) for k in range(n)}
+    schedule = [MeasureStep(int(k), MeasurementSpec(
+        "Z" if k % 3 == 0 else "XY", float(rng.uniform(0, 2 * math.pi)),
+        "quasi-destructive" if k % 2 else "destructive")) for k in rng.permutation(n)]
+    spec = ExperimentSpec(edges=[], inputs=inputs, gates=[], schedule=schedule,
+                          sampler=SamplerSettings(num_samples=10, seed=0))
+    dist = exact_distribution(spec)
+    assert len(dist.probs) == 2 ** n and dist.pruned_mass == 0.0
+    born = [measure_prob(inputs[m.node].bloch(), m.spec) for m in schedule]
+    for key, p in dist.probs.items():
+        expected = math.prod(b.p_plus if s == "+" else b.p_minus
+                             for b, s in zip(born, key))
+        assert abs(p - expected) <= 1e-15, key
+
+
+def test_cz_chain_at_the_cap_same_in_both_modes():
+    """The benchmark's CZ chain on MAX_QUBITS nodes anchors no gate after a
+    measurement, so quasi-destructive and destructive measurements give the
+    same distribution."""
+    dists = []
+    for mode in ("quasi-destructive", "destructive"):
+        doc = _bench_workloads().chain_spec(21, nodes=oracle.MAX_QUBITS)
+        for step in doc["schedule"]:
+            step["mode"] = mode
+        dists.append(exact_distribution(ExperimentSpec.from_json(doc)))
+    quasi, destructive = dists
+    assert list(quasi.probs) == list(destructive.probs)
+    assert len(quasi.probs) == 2 ** oracle.MAX_QUBITS
+    assert quasi.pruned_mass == destructive.pruned_mass == 0.0
+    assert quasi.total() == pytest.approx(1.0, abs=1e-12)
+    for key, p in quasi.probs.items():
+        assert abs(p - destructive.probs[key]) <= 1e-15, key
+
+
+def test_outcome_keys_come_out_sorted(monkeypatch):
+    """`empirical_tv` sums in the order of the keys, so `verify`'s TV depends
+    on it: the keys come out sorted ('+' before '-', schedule order)."""
+    grid = ExperimentSpec.from_json(_bench_workloads().grid_spec(21))
+    keys = list(exact_distribution(grid).probs)
+    assert len(keys) == 256 and keys == sorted(keys)
+    monkeypatch.setattr(oracle, "PRUNE", 1e-2)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        dist = exact_distribution(_random_spec(rng))
+        if dist.pruned_mass > 0 and len(dist.probs) >= 4:
+            break
+    else:
+        pytest.fail("no random spec prunes")
+    assert list(dist.probs) == sorted(dist.probs)

@@ -22,6 +22,11 @@ def test_bench_oracle_runs_on_a_tiny_config(tmp_path):
         assert len(case["runs_s"]) == 2 and case["median_s"] > 0
         assert case["pruned_mass"] == 0.0
     assert tiny["cases"]["grid2x4"]["outcomes"] == 256
+    digests = {name: case["probs_sha256"] for name, case in tiny["cases"].items()}
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
+    # no gate follows a measurement on the chain, so both modes agree
+    assert digests["chain3-quasi-destructive"] == digests["chain3-destructive"]
+    assert digests["chain3-destructive"] != digests["grid2x4"]
     assert {"numpy", "scipy", "python"} <= set(tiny["versions"])
     assert tiny["blas_threads"] == 1
 
