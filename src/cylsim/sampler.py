@@ -6,22 +6,24 @@ gate, and Born-rule outcomes per measurement.  Every decomposition is the
 closed form of `decompose`, exact to 1e-12 in the Pauli coefficients, so the
 sampled outcome distribution matches the quantum one up to shot noise.
 
-A gate step's terms depend only on its ledger input and output radii, its
-phase and its input z pair, never on a sample: a branch vector entering a
-gate is fixed by its ledger radius, its z (-1, 0 or +1) and its azimuth, and
-diagonal gates commute with local Z-rotations, so the terms at azimuth 0
-serve every azimuth.  So before the walk, batched calls of
-`decompose.decompose_gate_outputs` (TABLE_BLOCK rows each) tabulate every
-gate step's terms for each input z pair the step can see: the four pole
-pairs of a coherent gate (only an XY measurement sets z to 0, and it sets
-the node's radius to 0 too), all nine pairs of an identity or zero-radius
-gate.
+The radius ledger holds every radius: a branch vector is its node's ledger
+radius r, its z (-1, 0 or +1) and a phase ph (a unit phase, or 0), with
+xy = r ph.  A gate step's terms depend only on its key (phi, zero_a, zero_b),
+which of its ledger inputs are zero radii, and its input z pair: the ledger
+grows both sides of a coherent gate by lambda(phi), so its closed form sees
+the ratios 1/lambda(phi) and scales with the output radius, and diagonal
+gates commute with local Z-rotations.  So before the walk, batched calls of
+`decompose.decompose_gate_outputs` (TABLE_BLOCK rows each) tabulate each key
+once, at azimuth 0 and unit radius (a coherent key from 1/lambda(phi) to 1,
+any other from 1 to 1 and a zero side at 0), for the four pole pairs of a
+coherent key (only an XY measurement sets z to 0, and it zeroes the radius
+too) or all nine of any other.
 
 All samples then advance through the timeline together, as arrays: each
-node holds a complex xy row and an int8 z row with one entry per sample.  A
-gate step reads each sample's table row from its input z pair, picks a term
-by its cumulative weights, gathers each side's term and Z-rotates it by its
-own input's azimuth.
+node holds an int8 z row and a complex ph row with one entry per sample.  A
+gate step reads each sample's table row from its key and input z pair,
+picks a term by its cumulative weights and Z-rotates each side's term by
+that side's ph.  A measurement reads xy as r ph.
 
 Randomness is counter-based: step k (the initial split of the k-th node,
 then the timeline's events) draws one uniform per sample from the Philox
@@ -42,7 +44,7 @@ from numpy.random import Generator, Philox  # numpy loads it lazily: load it her
 from . import decompose
 from .bloch import ZERO_RADIUS, BlochVector, measure_prob
 from .experiment import ExperimentSpec, radius_ledger, resolve_measure_angle
-from .growth import fold_phase
+from .growth import fold_phase, lambda_phi
 
 
 class NegativeBranchProbability(RuntimeError):
@@ -59,8 +61,8 @@ class SampleRun:
     outcomes: list[str]
     fast_path_hits: int = 0  # identity gates and gates on a zero radius
     canonical_decompositions: int = 0  # coherent gates
-    max_radius_slack: float = 0.0  # largest |branch radius - ledger radius|
-    max_closed_form_residual: float = 0.0  # over every tabulated closed form
+    max_radius_slack: float = 0.0  # largest |r |ph| - r| leaving a gate
+    max_closed_form_residual: float = 0.0  # over the unit-radius table
     counts: dict[str, int] = field(default_factory=dict)
 
 
@@ -75,57 +77,61 @@ _POLE_PAIRS = (_Z_A != 0) & (_Z_B != 0)
 
 
 class _GateTable(NamedTuple):
-    """Every gate step's terms, one table row per (step, input z pair) that
-    the step can see; each row holds up to four terms, support first."""
+    """Every gate key's terms at unit radius, one table row per (key, input
+    z pair) that the key can see; each row holds up to four terms, support
+    first."""
 
-    rows: np.ndarray  # (gate steps, 9): row by z pair index, -1 if unseen
+    key: np.ndarray  # (gate steps,): the step's key
+    rows: np.ndarray  # (keys, 9): row by z pair index, -1 if unseen
     thresholds: np.ndarray  # (rows, 3): cumulative weights, inf from the last term on
     total: np.ndarray  # (rows,): sum of the weights
-    xy: tuple  # per side, (rows * 4,) complex term xy at azimuth 0
+    ph: tuple  # per side, (rows * 4,) complex term xy at azimuth 0: 1 in modulus or 0
     z: tuple  # per side, (rows * 4,) int8 term z
-    coherent: np.ndarray  # (gate steps,): takes the closed form
+    coherent: np.ndarray  # (keys,): takes the closed form
     residual: float  # largest closed-form residual, 0 without coherent gates
 
 
 def _tabulate(gates) -> _GateTable:
-    """Decompose every (GateStep, LedgerRow) pair's output for each input z
-    pair it can see, TABLE_BLOCK rows per `decompose_gate_outputs` call.
+    """Decompose each key of the (GateStep, LedgerRow) pairs at unit radius
+    for each input z pair it sees, TABLE_BLOCK rows per call.
 
     A term is picked as the first whose cumulative weight exceeds u times
     the total, or else the last: the thresholds hold each row's cumulative
     weights before its last term and inf from there on, so the number of
     thresholds <= u * total is the pick."""
-    count = len(gates)
-    phi = np.array([gate.phi for gate, _ in gates])
-    r_in = np.array([row.inputs for _, row in gates]).reshape(count, 2)
-    r_out = np.array([(row.radii[gate.edge[0]], row.radii[gate.edge[1]])
-                      for gate, row in gates]).reshape(count, 2)
-    coherent = np.array([min(row.inputs) > ZERO_RADIUS and fold_phase(gate.phi) != 0.0
-                         for gate, row in gates], dtype=bool)
-    step, pair = np.nonzero(np.where(coherent[:, None], _POLE_PAIRS, True))
-    size = len(step)
-    rows = np.full((count, 9), -1)
-    rows[step, pair] = np.arange(size)
-    table = _GateTable(rows, np.empty((size, 3)), np.empty(size),
+    keys = {}  # (phi, zero_a, zero_b) -> key
+    key = np.array([keys.setdefault((gate.phi, *(r <= ZERO_RADIUS for r in row.inputs)),
+                                    len(keys)) for gate, row in gates], dtype=np.intp)
+    phi = np.array([p for p, _, _ in keys], dtype=float)
+    r_out = np.array([(not zero_a, not zero_b) for _, zero_a, zero_b in keys],
+                     dtype=float).reshape(-1, 2)
+    coherent = r_out.all(axis=1) & np.array([fold_phase(p) != 0.0 for p in phi], bool)
+    lam = np.array([lambda_phi(p) for p in phi]).reshape(-1, 1)
+    r_in = np.where(coherent[:, None], 1.0 / lam, r_out)
+    entry, pair = np.nonzero(np.where(coherent[:, None], _POLE_PAIRS, True))
+    size = len(entry)
+    rows = np.full((len(keys), 9), -1)
+    rows[entry, pair] = np.arange(size)
+    table = _GateTable(key, rows, np.empty((size, 3)), np.empty(size),
                        (np.empty(4 * size, complex), np.empty(4 * size, complex)),
                        (np.empty(4 * size, np.int8), np.empty(4 * size, np.int8)),
                        coherent, 0.0)
     residual = 0.0
     for start in range(0, size, TABLE_BLOCK):
         block = slice(start, start + TABLE_BLOCK)
-        s = step[block]
-        zeros = np.zeros(len(s))
+        k = entry[block]
+        zeros = np.zeros(len(k))
         terms = decompose.decompose_gate_outputs(
-            np.column_stack([r_in[s, 0], zeros, _Z_A[pair[block]]]),
-            np.column_stack([r_in[s, 1], zeros, _Z_B[pair[block]]]),
-            phi[s], r_out[s, 0], r_out[s, 1])
+            np.column_stack([r_in[k, 0], zeros, _Z_A[pair[block]]]),
+            np.column_stack([r_in[k, 1], zeros, _Z_B[pair[block]]]),
+            phi[k], r_out[k, 0], r_out[k, 1])
         cum = np.cumsum(terms.weights, axis=1)
         table.total[block] = cum[:, 3]
         table.thresholds[block] = np.where(
             np.arange(3) < (terms.count - 1)[:, None], cum[:, :3], np.inf)
-        terms_block = slice(4 * start, 4 * (start + len(s)))
+        terms_block = slice(4 * start, 4 * (start + len(k)))
         for side, pts in enumerate((terms.a, terms.b)):
-            table.xy[side][terms_block] = (pts[..., 0] + 1j * pts[..., 1]).reshape(-1)
+            table.ph[side][terms_block] = (pts[..., 0] + 1j * pts[..., 1]).reshape(-1)
             table.z[side][terms_block] = pts[..., 2].reshape(-1)
         residual = max(residual, float(terms.residual.max(initial=0.0)))
     return table._replace(residual=residual)
@@ -159,10 +165,10 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
                        if kind == "gate"])
 
     nodes = spec.node_ids()
-    xy, z = {}, {}
+    ph, z = {}, {}  # xy = ledger radius * ph
     for step, node in enumerate(nodes):
-        v = spec.inputs[node].bloch()
-        xy[node] = np.full(n, complex(v.x, v.y))
+        v, r = spec.inputs[node].bloch(), spec.inputs[node].radius()
+        ph[node] = np.full(n, complex(v.x, v.y) / r if r else 0j)
         z[node] = np.where(uniform(step) < (1.0 + v.z) / 2.0, 1, -1).astype(np.int8)
 
     run = SampleRun(outcomes=[], max_closed_form_residual=table.residual)
@@ -173,25 +179,26 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
         u = uniform(step)
         if kind == "gate":
             a, b = payload.edge
-            rows = table.rows[gate][3 * z[a] + z[b]]
+            key = table.key[gate]
+            rows = table.rows[key][3 * z[a] + z[b]]
             if rows.min() < 0:
                 raise decompose.NonExtremalInput(
                     "the closed form needs inputs with z = +-1")
             x = u * table.total[rows]
             t = table.thresholds[rows]
             term = 4 * rows + (t[:, 0] <= x).view(np.int8) + (t[:, 1] <= x) + (t[:, 2] <= x)
-            for node, xy_t, z_t in ((a, table.xy[0], table.z[0]),
-                                    (b, table.xy[1], table.z[1])):
-                xy[node] = xy_t[term] * _phase(xy[node])
-                z[node] = z_t[term]
-            if table.coherent[gate]:
+            for side, node in enumerate((a, b)):  # a zero side's terms have xy 0
+                ph[node] = table.ph[side][term] * ph[node]
+                z[node] = table.z[side][term]
+            if table.coherent[key]:
                 run.canonical_decompositions += n
             else:
                 run.fast_path_hits += n
             gate += 1
             if check_invariants:
                 for node in (a, b):
-                    slack = float(np.max(np.abs(np.abs(xy[node]) - row.radii[node])))
+                    r = row.radii[node]
+                    slack = float(np.max(np.abs(np.abs(r * ph[node]) - r)))
                     run.max_radius_slack = max(run.max_radius_slack, slack)
                     if slack > 1e-9:
                         raise AssertionError(
@@ -200,8 +207,8 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
         else:
             node = payload.node
             mspec = replace(payload.spec, omega=resolve_measure_angle(payload, signs))
-            probs = measure_prob(BlochVector(xy[node].real, xy[node].imag, z[node]),
-                                 mspec)
+            ph[node] *= row.radii[node]  # now xy; the node's ph is reset below
+            probs = measure_prob(BlochVector(ph[node].real, ph[node].imag, z[node]), mspec)
             if probs.negative:
                 raise NegativeBranchProbability(
                     "negative branch probability min p = "
@@ -213,23 +220,13 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
             signs[node] = np.where(plus, 1, -1).astype(np.int8)
             # total Z-dephasing: a Z outcome keeps its pole, XY leaves z = 0
             z[node] = signs[node] if mspec.kind == "Z" else np.zeros(n, np.int8)
-            xy[node] = np.zeros(n, complex)
+            ph[node] = np.zeros(n, complex)
 
     # each row of '+'/'-' bytes read as one string
     run.outcomes = chars.view(f"S{chars.shape[1]}")[:, 0].astype(str).tolist() \
         if chars.shape[1] else [""] * n
     run.counts = dict(Counter(run.outcomes))
     return run
-
-
-def _phase(xy):
-    """xy / |xy| elementwise, and 1 (azimuth 0) at radii <= ZERO_RADIUS:
-    a gate's terms keep such a side's xy part at most that small."""
-    r = np.abs(xy)
-    if r.min() > ZERO_RADIUS:
-        return xy / r
-    coherent = r > ZERO_RADIUS
-    return np.where(coherent, xy / np.where(coherent, r, 1.0), 1.0)
 
 
 def empirical_tv(samples, exact: dict[str, float]) -> float:

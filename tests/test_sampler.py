@@ -107,14 +107,16 @@ def test_short_run_is_a_prefix_of_a_long_one():
 
 def _per_sample_reference(spec):
     """Reference walk, one sample at a time on the same uniforms (sample j
-    takes entry j of each step's vector): BlochVector state, a fresh
-    decomposition per gate and a linear scan for the term."""
+    takes entry j of each step's vector): BlochVector state, each gate
+    step's decomposition at its ledger radii (one per input z pair, shared
+    by the samples) and a linear scan for the term."""
     ledger = radius_ledger(spec)
     n, nodes = spec.sampler.num_samples, spec.node_ids()
     timeline = list(zip(spec.timeline(), ledger.trace))
     draws = [np.random.Generator(np.random.Philox(
         key=spec.sampler.seed, counter=[0, 0, 0, k])).random(n)
         for k in range(len(nodes) + len(timeline))]
+    decompositions = {}  # (step, z_a, z_b) -> Decomposition
     outcomes = []
     for j in range(n):
         vectors = {}
@@ -128,10 +130,12 @@ def _per_sample_reference(spec):
             if kind == "gate":
                 a, b = payload.edge
                 v_a, v_b = vectors[a], vectors[b]
-                d = decompose.decompose_gate_output(
-                    BlochVector(row.inputs[0], 0.0, v_a.z),
-                    BlochVector(row.inputs[1], 0.0, v_b.z),
-                    payload.phi, row.radii[a], row.radii[b])
+                if (k, v_a.z, v_b.z) not in decompositions:
+                    decompositions[k, v_a.z, v_b.z] = decompose.decompose_gate_output(
+                        BlochVector(row.inputs[0], 0.0, v_a.z),
+                        BlochVector(row.inputs[1], 0.0, v_b.z),
+                        payload.phi, row.radii[a], row.radii[b])
+                d = decompositions[k, v_a.z, v_b.z]
                 total, acc, pick = sum(d.weights), 0.0, len(d.weights) - 1
                 for i, w in enumerate(d.weights):
                     acc += w
@@ -152,6 +156,34 @@ def _per_sample_reference(spec):
     return outcomes
 
 
+def _own_phases_spec(samples):
+    """Six nodes, every gate at its own random phase (one table key per
+    gate) plus an identity gate; a tiny nonzero input radius (sin 1e-15,
+    below ZERO_RADIUS), shrunk inputs, and a quasi-destructive Z
+    measurement followed by a gate anchored after it."""
+    qd = "quasi-destructive"
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4), (2, 5)]
+    phases = np.random.default_rng(12).uniform(-math.pi, math.pi, len(edges))
+    gates = [GateStep(e, float(p)) for e, p in zip(edges, phases)]
+    gates.insert(3, GateStep((2, 3), 2 * math.pi))
+    gates.append(GateStep((3, 5), 2.4, after_measurement=0))
+    return ExperimentSpec(
+        edges=edges + [(3, 5)],
+        inputs={0: NodeInput(1e-15), 1: NodeInput(0.12, shrink=0.7),
+                2: NodeInput(0.1, azimuth=0.8), 3: NodeInput(0.15, azimuth=2.9),
+                4: NodeInput(0.09), 5: NodeInput(0.11, azimuth=-1.2, shrink=0.9)},
+        gates=gates,
+        schedule=[MeasureStep(3, MeasurementSpec("Z", 0.0, qd)),
+                  MeasureStep(0, MeasurementSpec("XY", 0.3)),
+                  MeasureStep(1, MeasurementSpec("XY", 1.1)),
+                  MeasureStep(2, MeasurementSpec("XY", 0.0, qd),
+                              AdaptiveRule((3,), (0.2, 1.4))),
+                  MeasureStep(4, MeasurementSpec("XY", 2.2)),
+                  MeasureStep(5, MeasurementSpec("XY", 0.5, qd),
+                              AdaptiveRule((3, 1), (0.6, 2.7)))],
+        sampler=SamplerSettings(num_samples=samples, seed=19))
+
+
 @pytest.mark.parametrize("spec", [
     _adaptive_reuse_spec(400),
     ExperimentSpec(  # a zero-radius input, Z measurements and a shrunk input
@@ -165,7 +197,8 @@ def _per_sample_reference(spec):
                   MeasureStep(2, MeasurementSpec("XY", 2.5),
                               AdaptiveRule((1,), (0.1, 0.9)))],
         sampler=SamplerSettings(num_samples=400, seed=8)),
-], ids=["adaptive-reuse", "zero-radius-z-shrink"])
+    _own_phases_spec(3000),
+], ids=["adaptive-reuse", "zero-radius-z-shrink", "own-phases"])
 def test_array_walk_matches_per_sample_reference(spec):
     assert run_branches(spec).outcomes == _per_sample_reference(spec)
 
@@ -189,9 +222,10 @@ def test_fast_path_after_measurement():
     assert empirical_tv(run.outcomes, exact.probs) < 0.05
 
 
-def test_decompositions_tabulated_once_per_gate_and_z_pair(monkeypatch):
-    # a coherent gate and a reuse gate on the measured node: the table holds
-    # one row per gate step and input z pair it can see, never per sample
+def test_decompositions_tabulated_once_per_key_and_z_pair(monkeypatch):
+    # a coherent gate and a reuse gate on the measured node: two keys (phi,
+    # zero_a, zero_b), and the table holds one row per key and input z pair
+    # it can see, never per sample
     rows = []
     real = decompose.decompose_gate_outputs
     monkeypatch.setattr(decompose, "decompose_gate_outputs",
@@ -213,6 +247,55 @@ def test_decompositions_tabulated_once_per_gate_and_z_pair(monkeypatch):
         counts[samples] = sum(rows)
         assert run.canonical_decompositions == run.fast_path_hits == samples
     assert counts[200] == counts[2000] <= 9 * 2
+    # the 5-node CZ chain's four gates share one coherent key: its four pole
+    # pairs, not four per gate
+    rows.clear()
+    run_branches(ExperimentSpec.from_json(bench_workloads().chain_spec(91)))
+    assert sum(rows) == 4
+
+
+def test_table_does_not_depend_on_input_radii():
+    # a 12-node power-law chain whose tail phases go down to 1.8e-6: one ulp
+    # of input shrink moves every ledger radius but no table entry
+    runs = []
+    for shrink in (1.0, float(np.nextafter(1.0, 0.0))):
+        spec = ExperimentSpec.from_json({
+            "version": 1,
+            "graph": [],
+            "inputs": {str(k): {"theta": math.radians(3), "shrink": shrink}
+                       for k in range(12)},
+            "gates": {"powerlaw": {"alpha": 6.0, "nn_phase": math.pi, "cutoff": 11}},
+            "schedule": [{"node": k, "kind": "XY", "omega": 0.0} for k in range(12)],
+            "sampler": {"num_samples": 20000, "seed": 3},
+        })
+        runs.append(run_branches(spec))
+    assert min(g.phi for g in spec.gates) < 2e-6
+    assert runs[0].max_closed_form_residual == runs[1].max_closed_form_residual
+    assert runs[0].outcomes == runs[1].outcomes
+
+
+def test_check_invariants_catches_a_term_off_its_circle(monkeypatch):
+    # side a's terms pushed off their circle by 1e-6: the walk follows them,
+    # and only check_invariants sees the branch radius leave the ledger's
+    real = decompose.decompose_gate_outputs
+
+    def off_circle(*args):
+        terms = real(*args)
+        return terms._replace(a=terms.a * np.array([1.0 + 1e-6, 1.0 + 1e-6, 1.0]))
+
+    monkeypatch.setattr(decompose, "decompose_gate_outputs", off_circle)
+    theta = math.radians(20)
+    spec = ExperimentSpec(
+        edges=[(0, 1)],
+        inputs={0: NodeInput(theta), 1: NodeInput(theta)},
+        gates=[GateStep((0, 1), math.pi)],
+        schedule=[MeasureStep(0, MeasurementSpec("XY", 0.0)),
+                  MeasureStep(1, MeasurementSpec("XY", 0.0))],
+        sampler=SamplerSettings(num_samples=500, seed=9),
+    )
+    run_branches(spec)
+    with pytest.raises(AssertionError, match="departs"):
+        run_branches(spec, check_invariants=True)
 
 
 def test_max_closed_form_residual_reported():
