@@ -110,8 +110,9 @@ def _time_case(src: str, kind: str, samples: int, side: int, repeats: int) -> di
     from cylsim.sampler import run_branches
 
     spec = ExperimentSpec.from_json(_spec(kind, samples, side))
-    runs = []
+    runs, run = [], None
     while len(runs) < repeats:
+        del run  # free the previous repeat's outcomes: peak RSS is one run's
         t0 = time.perf_counter()
         run = run_branches(spec)
         runs.append(time.perf_counter() - t0)

@@ -8,13 +8,8 @@ from .bloch import (
     BlochVector,
     DiagonalGate,
     MeasurementSpec,
-    apply_gate_pauli,
-    canonicalize_gate,
     measure_prob,
-    phasing,
-    post_measurement_state,
     radius,
-    z_rotate,
 )
 from .growth import (
     LAMBDA_CZ,
@@ -26,10 +21,10 @@ from .growth import (
     telescoping_family,
     theta_max,
 )
-from .decompose import Decomposition, decompose_gate_output, hull_membership
+from .decompose import Decomposition, hull_membership
 from .experiment import ExperimentSpec, NodeInput, radius_ledger
 from .sampler import empirical_tv, run_branches
-from .oracle import DenseState, evolve, exact_distribution
+from .oracle import exact_distribution
 from .matter import (
     MatterBounds,
     coarse_grain_threshold_1d,

@@ -49,24 +49,9 @@ class BlochVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def coeffs(self) -> np.ndarray:
-        """Length-4 Pauli coefficient vector (1, x, y, z)."""
-        return np.array([1.0, self.x, self.y, self.z])
-
     def dense(self) -> np.ndarray:
         """The 2x2 Hermitian matrix (I + xX + yY + zZ)/2."""
         return 0.5 * (PAULI[0] + self.x * PAULI[1] + self.y * PAULI[2] + self.z * PAULI[3])
-
-    def azimuth(self) -> float:
-        return norm_angle(math.atan2(self.y, self.x))
-
-    def to_json(self) -> list[float]:
-        return [self.x, self.y, self.z]
-
-    @classmethod
-    def from_json(cls, data) -> "BlochVector":
-        x, y, z = data
-        return cls(float(x), float(y), float(z))
 
 
 def radius(v: BlochVector) -> float:
@@ -74,17 +59,6 @@ def radius(v: BlochVector) -> float:
     if abs(v.z) > 1.0 + 1e-12:
         raise RadiusDomainError(f"|z| = {abs(v.z)} exceeds 1")
     return math.hypot(v.x, v.y)
-
-
-def phasing(v: BlochVector, r: float) -> BlochVector:
-    """Scale the xy-components by r (dephasing for r < 1, inverse for r > 1)."""
-    return BlochVector(r * v.x, r * v.y, v.z)
-
-
-def z_rotate(v: BlochVector, angle: float) -> BlochVector:
-    """Rotate the xy-components by `angle` about the z axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    return BlochVector(c * v.x - s * v.y, s * v.x + c * v.y, v.z)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,12 +76,6 @@ class MeasurementSpec:
         if self.mode not in ("destructive", "quasi-destructive"):
             raise ValueError(f"unknown measurement mode {self.mode!r}")
         object.__setattr__(self, "omega", norm_angle(self.omega))
-
-    def axis(self) -> np.ndarray:
-        """Measurement direction as a Bloch 3-vector."""
-        if self.kind == "Z":
-            return np.array([0.0, 0.0, 1.0])
-        return np.array([math.cos(self.omega), math.sin(self.omega), 0.0])
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "omega": self.omega, "mode": self.mode}
@@ -141,71 +109,25 @@ def measure_prob(v: BlochVector, m: MeasurementSpec) -> MeasureProbs:
     return MeasureProbs(p_plus, p_minus, bool(np.any(small < -1e-12)))
 
 
-def post_measurement_state(m: MeasurementSpec, outcome: int) -> BlochVector:
-    """State of the measured particle after total Z-dephasing.
-
-    Z outcomes keep their pole; an XY projection dephases to the maximally
-    mixed point."""
-    if m.kind == "Z":
-        return BlochVector(0.0, 0.0, 1.0 if outcome > 0 else -1.0)
-    return BlochVector(0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True, slots=True)
 class DiagonalGate:
-    """Two-qubit diagonal unitary in canonical form: a controlled-phase phi
-    plus absorbed local Z-rotations and a global phase.
-
-    The entry phases are exp(i*(global + localA*a + localB*b + phi*a*b)) for
-    basis state |ab>."""
+    """Two-qubit diagonal unitary in canonical form, the controlled phase
+    phi: basis state |ab> gets the entry phase exp(i*phi*a*b).  Any
+    diag(e^{i phi1}, .., e^{i phi4}) is this gate at phi = phi4 + phi1 -
+    phi2 - phi3 up to local Z-rotations and a global phase."""
 
     phi: float
-    local_a: float = 0.0
-    local_b: float = 0.0
-    global_phase: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "phi", norm_angle(self.phi))
 
     def entry_phases(self) -> np.ndarray:
-        """The four diagonal phases (phi1..phi4) of the reconstructed unitary."""
-        g, a, b = self.global_phase, self.local_a, self.local_b
-        return np.array([g, g + b, g + a, g + a + b + self.phi])
+        """The four diagonal phases (phi1..phi4) of the unitary."""
+        return np.array([0.0, 0.0, 0.0, self.phi])
 
     def diag(self) -> np.ndarray:
         """Diagonal of the 4x4 unitary."""
         return np.exp(1j * self.entry_phases())
-
-
-def canonicalize_gate(phi1: float, phi2: float, phi3: float, phi4: float) -> DiagonalGate:
-    """Split diag(e^{i phi1}, .., e^{i phi4}) into canonical phase and locals.
-
-    phi = phi4 + phi1 - phi2 - phi3 (mod 2*pi) is the only entangling
-    parameter; the rest are local Z-rotations and a global phase."""
-    return DiagonalGate(
-        phi=norm_angle(phi4 + phi1 - phi2 - phi3),
-        local_a=phi3 - phi1,
-        local_b=phi2 - phi1,
-        global_phase=phi1,
-    )
-
-
-def pauli_coeffs(rho: np.ndarray) -> np.ndarray:
-    """The 4x4 real Pauli coefficients tr((sigma_i x sigma_j) rho) of a
-    two-qubit operator, rows/cols indexed over (I, X, Y, Z)."""
-    m = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            m[i, j] = np.real(np.trace(np.kron(PAULI[i], PAULI[j]) @ rho))
-    return m
-
-
-def apply_gate_pauli(phi: float, v_a: BlochVector, v_b: BlochVector) -> np.ndarray:
-    """The 4x4 Pauli coefficients of V_phi (rho_A x rho_B) V_phi^dag for a
-    product input, rows/cols indexed over (I, X, Y, Z): one row of
-    `apply_gate_paulis`."""
-    return apply_gate_paulis(np.array([phi]), v_a.as_array()[None],
-                             v_b.as_array()[None])[0]
 
 
 def apply_gate_paulis(phi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,8 +12,7 @@ side's points by its input's azimuth (diagonal gates commute with local
 Z-rotations).  The closed form is batched: `closed_forms` and
 `decompose_gate_outputs` take K rows through one stacked eigh, at most three
 Givens rounds on masked columns and one stacked SVD, and a row's terms do
-not depend on the rows batched with it; `closed_form_decomposition` and
-`decompose_gate_output` are their one-row calls.
+not depend on the rows batched with it.
 
 General state spaces: one LP core, `solve_lp`, for
 nonnegative weights over candidate extremal points, minimising the
@@ -49,7 +48,6 @@ from .bloch import (
     PAULI,
     TWO_PI,
     ZERO_RADIUS,
-    BlochVector,
     RadiusDomainError,
     apply_gate_paulis,
 )
@@ -142,10 +140,6 @@ class GateTerms(NamedTuple):
     count: np.ndarray  # (K,)
     residual: np.ndarray  # (K,)
 
-    def row(self, k: int) -> Decomposition:
-        n = self.count[k]
-        return Decomposition(self.weights[k, :n], self.a[k, :n], self.b[k, :n])
-
 
 def reconstruct(d) -> np.ndarray:
     """The Pauli coefficients sum_k w_k (1, a_k) (x) (1, b_k): 4x4 for a
@@ -157,7 +151,7 @@ def reconstruct(d) -> np.ndarray:
 
 def _z_turn(points, angle):
     """Points (..., 3) turned about the z axis by `angle`, which broadcasts
-    against the points' leading axes, as bloch.z_rotate."""
+    against the points' leading axes."""
     c, s = np.cos(angle), np.sin(angle)
     x, y = points[..., 0], points[..., 1]
     return np.stack([c * x - s * y, s * x + c * y, points[..., 2]], -1)
@@ -268,15 +262,6 @@ def closed_forms(targets, r_out_a, r_out_b):
                       _circle_points(q, r_out_b, m[:, 0, 3]), count, np.zeros(k))
     residual = np.max(np.abs(reconstruct(terms) - m), axis=(1, 2))
     return feasible, terms._replace(residual=residual)
-
-
-def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
-    """One row of `closed_forms`: (feasible, Decomposition, residual) for a
-    4x4 target, the residual being the largest Pauli-coefficient error of
-    the terms."""
-    feasible, terms = closed_forms(np.asarray(target, dtype=float)[None],
-                                   [r_out_a], [r_out_b])
-    return bool(feasible[0]), terms.row(0), float(terms.residual[0])
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +506,6 @@ def _ratios(r, r_out):
     non-positive output radius."""
     return np.where(r <= ZERO_RADIUS, 0.0,
                     np.where(r_out > 0, r / np.where(r_out > 0, r_out, 1.0), math.inf))
-
-
-def decompose_gate_output(v_a: BlochVector, v_b: BlochVector, phi: float,
-                          r_out_a: float, r_out_b: float) -> Decomposition:
-    """Separable decomposition of V_phi (v_a x v_b) V_phi^dag over
-    Cyl(r_out_a) x Cyl(r_out_b): one row of `decompose_gate_outputs`."""
-    return decompose_gate_outputs(v_a.as_array()[None], v_b.as_array()[None],
-                                  [phi], [r_out_a], [r_out_b]).row(0)
 
 
 def decompose_gate_outputs(a, b, phi, r_out_a, r_out_b) -> GateTerms:

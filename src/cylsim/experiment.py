@@ -201,13 +201,6 @@ class ExperimentSpec:
             nodes.update((a, b))
         return sorted(nodes)
 
-    def degree(self) -> dict[int, int]:
-        deg = {node: 0 for node in self.node_ids()}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
     def timeline(self) -> list[tuple[str, object]]:
         """Events in execution order: unanchored gates first, then each
         measurement followed by the gates anchored after it."""

@@ -1,7 +1,6 @@
 """Exact quantum simulation at desk scale (n <= 10 qubits).
 
 This module is the ground truth for every acceptance experiment.
-`DenseState` and `evolve` hold and conjugate a full 2^n x 2^n density matrix.
 `exact_distribution` advances every branch of a measurement schedule's
 outcome tree at once, on one state tensor: a measurement turns the measured
 qubit's (row, column) axes into an outcome axis, so each timeline event is
@@ -14,90 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, DiagonalGate, pauli_coeffs
+from .bloch import DiagonalGate
 
 MAX_QUBITS = 10
 # Outcome-tree branches with probability at or below this are dropped, and
 # their mass is reported.
 PRUNE = 1e-15
-# Smallest eigenvalue `DenseState.validate` accepts as rounding.
-_MIN_EIGENVALUE = -1e-9
 
 
 class TooManyQubits(ValueError):
     """Dense simulation is capped at MAX_QUBITS qubits."""
-
-
-@dataclass
-class DenseState:
-    """An n-qubit density matrix.  Qubit 0 owns the most significant bit of
-    the basis index."""
-
-    n: int
-    rho: np.ndarray
-
-    def __post_init__(self):
-        if self.n > MAX_QUBITS:
-            raise TooManyQubits(f"n={self.n} exceeds the dense limit {MAX_QUBITS}")
-        dim = 2 ** self.n
-        if self.rho.shape != (dim, dim):
-            raise ValueError(f"rho must be {dim}x{dim}")
-
-    @classmethod
-    def from_product(cls, vectors: list[BlochVector]) -> "DenseState":
-        if len(vectors) > MAX_QUBITS:
-            raise TooManyQubits(f"{len(vectors)} qubits exceed the dense limit")
-        rho = np.array([[1.0 + 0j]])
-        for v in vectors:
-            rho = np.kron(rho, v.dense())
-        return cls(len(vectors), rho)
-
-    def validate(self):
-        """Check trace, Hermiticity, and (for quantum inputs) positivity."""
-        if abs(np.trace(self.rho) - 1.0) > 1e-10:
-            raise ValueError("trace deviates from 1")
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > 1e-10:
-            raise ValueError("rho is not Hermitian")
-        if np.linalg.eigvalsh(self.rho).min() < _MIN_EIGENVALUE:
-            raise ValueError("rho has a significant negative eigenvalue")
-
-    def pauli_coeff(self, qubit_i: int, qubit_j: int) -> np.ndarray:
-        """4x4 Pauli coefficients of the reduced state of two qubits."""
-        keep = sorted({qubit_i, qubit_j})
-        reduced = _partial_trace_keep(self.rho, self.n, keep)
-        if keep[0] == qubit_j:  # restore requested order
-            reduced = _swap_two_qubit(reduced)
-        return pauli_coeffs(reduced)
-
-
-def _swap_two_qubit(rho4: np.ndarray) -> np.ndarray:
-    return rho4.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-
-
-def _partial_trace_keep(rho: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
-    tensor = rho.reshape([2] * (2 * n))
-    traced = [q for q in range(n) if q not in keep]
-    for offset, q in enumerate(sorted(traced)):
-        axis = q - offset  # earlier traces shifted the remaining axes
-        live = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + live)
-    dim = 2 ** len(keep)
-    return tensor.reshape(dim, dim)
-
-
-def evolve(state: DenseState, gate: DiagonalGate, nodes: tuple[int, int]) -> DenseState:
-    """Conjugate the state by the diagonal gate embedded on the given qubits.
-
-    Diagonal unitaries act entrywise: rho_ab -> d_a rho_ab conj(d_b)."""
-    i, j = nodes
-    if i == j or not (0 <= i < state.n) or not (0 <= j < state.n):
-        raise IndexError(f"bad qubit pair ({i}, {j}) for n={state.n}")
-    idx = np.arange(2 ** state.n)
-    bit_i = (idx >> (state.n - 1 - i)) & 1
-    bit_j = (idx >> (state.n - 1 - j)) & 1
-    phases = gate.entry_phases()
-    d = np.exp(1j * phases[2 * bit_i + bit_j])
-    return DenseState(state.n, state.rho * np.outer(d, d.conj()))
 
 
 @dataclass
@@ -106,9 +31,6 @@ class ExactDistribution:
 
     probs: dict[str, float]
     pruned_mass: float
-
-    def total(self) -> float:
-        return sum(self.probs.values()) + self.pruned_mass
 
 
 # The axes of `exact_distribution`'s tensor: first one per measurement made

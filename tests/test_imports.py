@@ -18,6 +18,12 @@ module-level cache is mutable state shared by every caller.
 No `if` or conditional expression tests `isinstance(x, C)` for a class C
 defined in cylsim: that fork is how a function accepts a second format for
 one value, and each value has one.
+
+Every public function, class and method of cylsim is used by the pipeline:
+some code outside its own definition names it, in a cylsim module other
+than `__init__` or under `bench/` or `scripts/`.  Code that only tests run
+lives in `tests/reference.py`; the few paper results that only tests check
+are listed in `TEST_ONLY`.
 """
 
 import ast
@@ -25,11 +31,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import cylsim
 
 SRC = Path(cylsim.__file__).parent
+# bench/ and scripts/ sit beside tests/, as reference.bench_workloads finds them
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _private(name: str) -> bool:
@@ -281,3 +290,79 @@ def test_isinstance_fork_guard_catches_each_form():
     assert isinstance_forks("if isinstance(x, bool) or isinstance(x, dict):\n"
                             "    pass\nassert isinstance(s, Coeffs)\n"
                             "ok = isinstance(v, BlochVector)", classes) == []
+
+
+# Public names that no pipeline code calls, each a result of the paper that
+# tests check
+TEST_ONLY = {
+    "decompose:hull_membership",  # criterion 3: LP hull vs the lemma-1 boundary
+    "matter:comb_construction",  # the comb pattern of the dimension reduction
+    "matter:steered_radius",  # criterion 6: the steering audit
+    "statespace:lemma8_audit",  # Lemma 8: no Z-symmetric space beats the cylinder
+    "statespace:SymmetricStateSpace.contains",  # membership in criterion 5's spaces
+}
+
+
+def _names(tree) -> Counter:
+    """How often the code names each identifier: as a variable, an attribute
+    or a name imported from a module."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unused_names(modules: dict[str, str], users: list[str]) -> list[str]:
+    """`module:name` for each public function or class, and `module:Class.name`
+    for each public method, that `modules` (source by module name) define
+    and no code names outside that definition: not another module, not a
+    user source, not the rest of its own module."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    names = {module: _names(tree) for module, tree in trees.items()}
+    outside = sum((_names(ast.parse(source)) for source in users), Counter())
+    found = []
+    for module, tree in trees.items():
+        seen = outside + sum((n for m, n in names.items() if m != module), names[module])
+        defs = [(node.name, node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(f"{cls.name}.{node.name}", node) for _, cls in defs
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)]
+        for key, node in defs:
+            public = not any(part.startswith("_") for part in key.split("."))
+            if public and seen[node.name] == _names(node)[node.name]:
+                found.append(f"{module}:{key}")
+    return found
+
+
+def test_every_public_name_is_used():
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path.stem != "__init__"}
+    users = [path.read_text() for folder in ("bench", "scripts")
+             for path in sorted((ROOT / folder).glob("*.py"))]
+    assert users  # the checkout has bench/ and scripts/ beside tests/
+    assert sorted(unused_names(modules, users)) == sorted(TEST_ONLY)
+
+
+def test_unused_name_guard_catches_each_form():
+    core = "def f():\n    return 1\nclass C:\n    def m(self):\n        pass\n"
+    assert unused_names({"core": core}, []) == ["core:f", "core:C", "core:C.m"]
+    # a name counts when another module, a user or the rest of its own
+    # module names it, as a variable, an attribute or an import
+    assert unused_names({"core": core, "cli": "from .core import f\nf()"},
+                        ["import core\ncore.C().m()"]) == []
+    assert unused_names({"core": core + "def g():\n    return C().m() + f()\n"},
+                        ["g()"]) == []
+    # but not when only its own definition or a string names it; private
+    # names, dunders and methods of private classes are exempt
+    assert unused_names({"core": "def f(n):\n    return f(n - 1)\nclass C:\n"
+                                 "    def make(self):\n        return C()\n"
+                                 "    def __len__(self):\n        return 0\n"
+                                 "def _g():\n    pass\nclass _P:\n    def error(self):\n"
+                                 "        pass\n"},
+                        ["getattr(core, 'f')\nx.make()"]) == ["core:f", "core:C"]

@@ -124,6 +124,9 @@ def test_comb_construction_1d_and_large():
 
 def test_comb_default_radius_is_theorem_bound():
     spec = comb_construction(2, 3)
-    deg = spec.degree()
+    deg = {node: 0 for node in spec.node_ids()}
+    for edge in spec.edges:
+        for node in edge:
+            deg[node] += 1
     r0 = max(spec.inputs[n].radius() for n in spec.node_ids())
     assert r0 == pytest.approx(LAMBDA_CZ ** -max(deg.values()), abs=1e-12)

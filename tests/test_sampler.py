@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from cylsim import decompose
-from cylsim.bloch import (
-    BlochVector,
-    MeasurementSpec,
-    measure_prob,
-    post_measurement_state,
-    z_rotate,
-)
+from cylsim.bloch import BlochVector, MeasurementSpec, measure_prob, norm_angle
 from cylsim.decompose import InfeasibleRequest
 from cylsim.experiment import (
     AdaptiveRule,
@@ -24,7 +18,12 @@ from cylsim.experiment import (
 )
 from cylsim.oracle import exact_distribution
 from cylsim.sampler import AlphabetMismatch, empirical_tv, run_branches
-from reference import bench_workloads
+from reference import (
+    bench_workloads,
+    decompose_gate_output,
+    post_measurement_state,
+    z_rotate,
+)
 
 
 def test_no_gate_bernoulli():
@@ -131,7 +130,7 @@ def _per_sample_reference(spec):
                 a, b = payload.edge
                 v_a, v_b = vectors[a], vectors[b]
                 if (k, v_a.z, v_b.z) not in decompositions:
-                    decompositions[k, v_a.z, v_b.z] = decompose.decompose_gate_output(
+                    decompositions[k, v_a.z, v_b.z] = decompose_gate_output(
                         BlochVector(row.inputs[0], 0.0, v_a.z),
                         BlochVector(row.inputs[1], 0.0, v_b.z),
                         payload.phi, row.radii[a], row.radii[b])
@@ -142,8 +141,10 @@ def _per_sample_reference(spec):
                     if u * total < acc:
                         pick = i
                         break
-                vectors[a] = z_rotate(BlochVector(*d.a[pick]), v_a.azimuth())
-                vectors[b] = z_rotate(BlochVector(*d.b[pick]), v_b.azimuth())
+                vectors[a] = z_rotate(BlochVector(*d.a[pick]),
+                                      norm_angle(math.atan2(v_a.y, v_a.x)))
+                vectors[b] = z_rotate(BlochVector(*d.b[pick]),
+                                      norm_angle(math.atan2(v_b.y, v_b.x)))
             else:
                 m = MeasurementSpec(payload.spec.kind,
                                     resolve_measure_angle(payload, record),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cylsim import decompose, statespace
-from cylsim.bloch import BlochVector, apply_gate_pauli
+from cylsim.bloch import BlochVector
 from cylsim.growth import LAMBDA_CZ
 from cylsim.statespace import (
     SymmetricStateSpace,
@@ -19,6 +19,7 @@ from cylsim.statespace import (
     r_star_point_set,
     symmetrize,
 )
+from reference import apply_gate_pauli, coeffs
 
 
 def test_b_space_examples():
@@ -206,8 +207,8 @@ def test_product_targets_get_the_lp_verdict():
                     z_b, r_b = other.profile[rng.integers(len(other.profile))]
                     b = BlochVector(0.5 * r_b, 0.0, z_b)
                     # the probed factor on side A, then on side B
-                    for target, sides in ((np.outer(a.coeffs(), b.coeffs()), (space, other)),
-                                          (np.outer(b.coeffs(), a.coeffs()), (other, space))):
+                    for target, sides in ((np.outer(coeffs(a), coeffs(b)), (space, other)),
+                                          (np.outer(coeffs(b), coeffs(a)), (other, space))):
                         verdict = statespace._fits(target, *sides, 40, 1e-7)
                         assert verdict == inside == _lp_fits(target, *sides), (z, scale)
                         checked[inside] += 1
