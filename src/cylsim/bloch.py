@@ -77,9 +77,6 @@ class MeasurementSpec:
             raise ValueError(f"unknown measurement mode {self.mode!r}")
         object.__setattr__(self, "omega", norm_angle(self.omega))
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "omega": self.omega, "mode": self.mode}
-
     @classmethod
     def from_json(cls, data: dict) -> "MeasurementSpec":
         return cls(data["kind"], float(data.get("omega", 0.0)),

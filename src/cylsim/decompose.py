@@ -443,9 +443,11 @@ def residual_lower_bound(target_m, duals, circles_a, circles_b) -> float:
 def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
                            refine_rounds=6):
     """Decompose a Pauli coefficient target over products of discretized
-    extremal circles.  Returns (residual, Decomposition) for the support,
-    refining azimuths around the active support while the residual exceeds
-    tol, which must be finite and > 0; n >= 1 azimuths per circle.
+    extremal circles.  Returns (residual, Decomposition): the last LP's own
+    residual, and its support with the weights normalised to sum 1, whose
+    reconstruction can miss the target by more than that residual.
+    Azimuths are refined around the active support while the residual
+    exceeds tol, which must be finite and > 0; n >= 1 azimuths per circle.
 
     Refinement stops early once an LP's duals prove a miss: when
     `residual_lower_bound` > tol, no combination of points on the kept
@@ -466,16 +468,13 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
     for round_idx in range(refine_rounds + 1):
         pts_a, own_a, azs_a = _candidates(circles_a, az_a)
         pts_b, own_b, azs_b = _candidates(circles_b, az_b)
-        _lp_residual, w, duals = solve_lp(pts_a, pts_b, target.reshape(16))
+        residual, w, duals = solve_lp(pts_a, pts_b, target.reshape(16))
         support = np.nonzero(w > _WEIGHT_EPS)[0]
-        # normalise so weights are an exact distribution, then report the
-        # residual of what is actually returned
-        d = Decomposition(w[support] / w[support].sum(),
-                          pts_a[support // len(pts_b)], pts_b[support % len(pts_b)])
-        residual = float(np.max(np.abs(reconstruct(d) - target)))
         if (residual <= tol or round_idx == refine_rounds
                 or residual_lower_bound(target, duals, circles_a, circles_b) > tol):
-            return residual, d
+            return residual, Decomposition(w[support] / w[support].sum(),
+                                           pts_a[support // len(pts_b)],
+                                           pts_b[support % len(pts_b)])
         # rebuild each side as base grid + support + halved-step neighbours;
         # dropping stale refinement columns is safe because the current
         # support stays in, so the residual cannot regress

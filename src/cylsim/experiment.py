@@ -58,9 +58,6 @@ class NodeInput:
     def radius(self) -> float:
         return abs(math.sin(self.theta)) * self.shrink
 
-    def to_json(self) -> dict:
-        return {"theta": self.theta, "azimuth": self.azimuth, "shrink": self.shrink}
-
     @classmethod
     def from_json(cls, data: dict) -> "NodeInput":
         return cls(float(data["theta"]), float(data.get("azimuth", 0.0)),
@@ -74,9 +71,6 @@ class AdaptiveRule:
 
     nodes: tuple[int, ...]
     angles: tuple[float, float]  # (even parity, odd parity)
-
-    def to_json(self) -> dict:
-        return {"nodes": list(self.nodes), "angles": list(self.angles)}
 
     @classmethod
     def from_json(cls, data: dict) -> "AdaptiveRule":
@@ -94,12 +88,6 @@ class GateStep:
         if self.after_measurement is not None:
             _integer(self.after_measurement, "after_measurement")
 
-    def to_json(self) -> dict:
-        out = {"edge": list(self.edge), "phi": self.phi}
-        if self.after_measurement is not None:
-            out["after_measurement"] = self.after_measurement
-        return out
-
     @classmethod
     def from_json(cls, data: dict) -> "GateStep":
         return cls((_integer(data["edge"][0], "gate edge node"),
@@ -112,12 +100,6 @@ class MeasureStep:
     node: int
     spec: MeasurementSpec
     adaptive: AdaptiveRule | None = None
-
-    def to_json(self) -> dict:
-        out = {"node": self.node, **self.spec.to_json()}
-        if self.adaptive is not None:
-            out["adaptive"] = self.adaptive.to_json()
-        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "MeasureStep":
@@ -147,8 +129,8 @@ def resolve_measure_angle(step: MeasureStep, outcomes: dict) -> float | np.ndarr
 @dataclass(frozen=True)
 class SamplerSettings:
     """Sample count and seed.  `discretization` and `tolerance` belong to
-    schema v1 and round-trip through JSON, but sampling does not read them:
-    every sampler decomposition is exact."""
+    schema v1 and are checked when a spec is parsed, but sampling does not
+    read them: every sampler decomposition is exact."""
 
     num_samples: int = 10000
     seed: int = 0
@@ -164,10 +146,6 @@ class SamplerSettings:
             raise ValueError("discretization must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, not {self.tolerance!r}")
-
-    def to_json(self) -> dict:
-        return {"num_samples": self.num_samples, "seed": self.seed,
-                "discretization": self.discretization, "tolerance": self.tolerance}
 
     @classmethod
     def from_json(cls, data: dict) -> "SamplerSettings":
@@ -259,18 +237,6 @@ class ExperimentSpec:
             elif payload.spec.mode == "destructive":
                 destroyed.add(payload.node)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "version": 1,
-            "graph": [list(e) for e in self.edges],
-            "inputs": {str(k): v.to_json() for k, v in self.inputs.items()},
-            "gates": [g.to_json() for g in self.gates],
-            "schedule": [m.to_json() for m in self.schedule],
-            "sampler": self.sampler.to_json(),
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentSpec":
         if data.get("version", 1) != 1:
@@ -294,9 +260,6 @@ class ExperimentSpec:
             schedule=[MeasureStep.from_json(m) for m in data.get("schedule", [])],
             sampler=SamplerSettings.from_json(data.get("sampler", {})),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
     @classmethod
     def loads(cls, text: str) -> "ExperimentSpec":

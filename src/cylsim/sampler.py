@@ -61,7 +61,7 @@ class SampleRun:
     outcomes: list[str]
     fast_path_hits: int = 0  # identity gates and gates on a zero radius
     canonical_decompositions: int = 0  # coherent gates
-    max_radius_slack: float = 0.0  # largest |r |ph| - r| leaving a gate
+    max_radius_slack: float = 0.0  # largest ||xy| - r| of a table term, at unit radius
     max_closed_form_residual: float = 0.0  # over the unit-radius table
     counts: dict[str, int] = field(default_factory=dict)
 
@@ -89,11 +89,15 @@ class _GateTable(NamedTuple):
     z: tuple  # per side, (rows * 4,) int8 term z
     coherent: np.ndarray  # (keys,): takes the closed form
     residual: float  # largest closed-form residual, 0 without coherent gates
+    slack: float  # largest distance of a support term from its side's circle
 
 
 def _tabulate(gates) -> _GateTable:
     """Decompose each key of the (GateStep, LedgerRow) pairs at unit radius
-    for each input z pair it sees, TABLE_BLOCK rows per call.
+    for each input z pair it sees, TABLE_BLOCK rows per call.  Every support
+    term must lie on its side's circle (radius 1, or 0 on a zero side) to
+    1e-9, or SolverFailure is raised: the walk keeps each branch vector at
+    its ledger radius only through that.
 
     A term is picked as the first whose cumulative weight exceeds u times
     the total, or else the last: the thresholds hold each row's cumulative
@@ -115,8 +119,8 @@ def _tabulate(gates) -> _GateTable:
     table = _GateTable(key, rows, np.empty((size, 3)), np.empty(size),
                        (np.empty(4 * size, complex), np.empty(4 * size, complex)),
                        (np.empty(4 * size, np.int8), np.empty(4 * size, np.int8)),
-                       coherent, 0.0)
-    residual = 0.0
+                       coherent, 0.0, 0.0)
+    residual = slack = 0.0
     for start in range(0, size, TABLE_BLOCK):
         block = slice(start, start + TABLE_BLOCK)
         k = entry[block]
@@ -130,19 +134,25 @@ def _tabulate(gates) -> _GateTable:
         table.thresholds[block] = np.where(
             np.arange(3) < (terms.count - 1)[:, None], cum[:, :3], np.inf)
         terms_block = slice(4 * start, 4 * (start + len(k)))
+        support = np.arange(4) < terms.count[:, None]
         for side, pts in enumerate((terms.a, terms.b)):
-            table.ph[side][terms_block] = (pts[..., 0] + 1j * pts[..., 1]).reshape(-1)
+            xy = pts[..., 0] + 1j * pts[..., 1]
+            table.ph[side][terms_block] = xy.reshape(-1)
             table.z[side][terms_block] = pts[..., 2].reshape(-1)
+            off = np.abs(np.abs(xy) - r_out[k, side, None])[support]
+            slack = max(slack, float(off.max(initial=0.0)))
         residual = max(residual, float(terms.residual.max(initial=0.0)))
-    return table._replace(residual=residual)
+    if slack > 1e-9:
+        raise decompose.SolverFailure(
+            f"a gate table term departs from its circle by {slack:.3g}")
+    return table._replace(residual=residual, slack=slack)
 
 
-def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> SampleRun:
+def run_branches(spec: ExperimentSpec) -> SampleRun:
     """Sample the experiment's outcome strings (schedule order, '+'/'-').
 
     Requires a simulable ledger; raises InfeasibleRequest naming the ledger
-    step otherwise.  With check_invariants, every branch vector leaving a
-    gate must have its ledger radius to 1e-9.
+    step otherwise.
     """
     ledger = radius_ledger(spec)
     if not ledger.simulable:
@@ -171,16 +181,18 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
         ph[node] = np.full(n, complex(v.x, v.y) / r if r else 0j)
         z[node] = np.where(uniform(step) < (1.0 + v.z) / 2.0, 1, -1).astype(np.int8)
 
-    run = SampleRun(outcomes=[], max_closed_form_residual=table.residual)
+    coherent = int(table.coherent[table.key].sum())
+    run = SampleRun(outcomes=[], fast_path_hits=n * (len(table.key) - coherent),
+                    canonical_decompositions=n * coherent,
+                    max_radius_slack=table.slack, max_closed_form_residual=table.residual)
     signs = {}  # measured node -> +-1 outcome row
     chars = np.empty((n, len(spec.schedule)), dtype=np.uint8)
-    gate = 0  # gate steps so far
+    keys = iter(table.key)  # each gate step's key, in timeline order
     for step, ((kind, payload), row) in enumerate(timeline, start=len(nodes)):
         u = uniform(step)
         if kind == "gate":
             a, b = payload.edge
-            key = table.key[gate]
-            rows = table.rows[key][3 * z[a] + z[b]]
+            rows = table.rows[next(keys)][3 * z[a] + z[b]]
             if rows.min() < 0:
                 raise decompose.NonExtremalInput(
                     "the closed form needs inputs with z = +-1")
@@ -190,20 +202,6 @@ def run_branches(spec: ExperimentSpec, check_invariants: bool = False) -> Sample
             for side, node in enumerate((a, b)):  # a zero side's terms have xy 0
                 ph[node] = table.ph[side][term] * ph[node]
                 z[node] = table.z[side][term]
-            if table.coherent[key]:
-                run.canonical_decompositions += n
-            else:
-                run.fast_path_hits += n
-            gate += 1
-            if check_invariants:
-                for node in (a, b):
-                    r = row.radii[node]
-                    slack = float(np.max(np.abs(np.abs(r * ph[node]) - r)))
-                    run.max_radius_slack = max(run.max_radius_slack, slack)
-                    if slack > 1e-9:
-                        raise AssertionError(
-                            f"branch radius at node {node} departs from its "
-                            "ledger radius")
         else:
             node = payload.node
             mspec = replace(payload.spec, omega=resolve_measure_angle(payload, signs))

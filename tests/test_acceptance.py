@@ -179,7 +179,7 @@ def test_criterion_4_sampling_vs_oracle():
     details = []
     for name, spec in cases.items():
         assert radius_ledger(spec).simulable
-        run = run_branches(spec, check_invariants=True)
+        run = run_branches(spec)
         exact = exact_distribution(spec)
         tv = empirical_tv(run.outcomes, exact.probs)
         _SAMPLER_RUNS[name] = run
@@ -222,7 +222,7 @@ def test_near_cap_grids_sampling_vs_oracle():
     for (rows, cols), seed in (((2, 5), 501), ((3, 3), 502)):
         spec = _experiment_near_cap_grid(rows, cols, seed)
         assert radius_ledger(spec).simulable
-        run = run_branches(spec, check_invariants=True)
+        run = run_branches(spec)
         exact = exact_distribution(spec)
         assert exact.pruned_mass == 0.0
         assert sum(exact.probs.values()) + exact.pruned_mass == pytest.approx(1.0, abs=1e-12)
@@ -304,7 +304,7 @@ def test_criterion_8_property_suites():
     if not _SAMPLER_RUNS:  # selective invocation: rerun a reduced replica
         spec = _experiment_grid()
         spec.sampler = SamplerSettings(num_samples=20000, seed=403)
-        _SAMPLER_RUNS["replica"] = run_branches(spec, check_invariants=True)
+        _SAMPLER_RUNS["replica"] = run_branches(spec)
     for name, run in _SAMPLER_RUNS.items():
         assert run.max_radius_slack <= 1e-9, name
     # (run_branches raises NegativeBranchProbability; completed runs prove

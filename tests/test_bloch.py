@@ -165,8 +165,9 @@ def test_apply_gate_pauli_diagonal_sector_invariant():
 
 
 def test_serialization():
-    spec = MeasurementSpec("XY", 1.25, "quasi-destructive")
-    assert MeasurementSpec.from_json(spec.to_json()) == spec
+    data = {"kind": "XY", "omega": 1.25, "mode": "quasi-destructive"}
+    assert MeasurementSpec.from_json(data) == MeasurementSpec("XY", 1.25, "quasi-destructive")
+    assert MeasurementSpec.from_json({"kind": "Z"}) == MeasurementSpec("Z")
 
 
 def test_diagonal_gate_entry_phases():

@@ -555,6 +555,26 @@ def test_negative_branch_probability_exit_code(capsys, tmp_path, monkeypatch):
     assert err.count("\n") == 1 and "negative branch probability" in err
 
 
+def test_term_off_its_circle_exit_code(capsys, tmp_path, monkeypatch):
+    # the sampler's radius check runs on every CLI run and exits 3, one line
+    from cylsim import decompose
+
+    real = decompose.decompose_gate_outputs
+
+    def off_circle(*args):
+        terms = real(*args)
+        return terms._replace(a=terms.a * [1.0 + 1e-6, 1.0 + 1e-6, 1.0])
+
+    monkeypatch.setattr(decompose, "decompose_gate_outputs", off_circle)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_pair_spec()))
+    for command in ("simulate", "verify"):
+        code, out, err = run_cli([command, "--spec", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("solver failure:") and "departs" in err
+
+
 def test_feasible_pair_at_coarse_discretization(capsys, tmp_path):
     # used to die in the sampler's LP with residual 7.33e-8 against a
     # frame-adjusted 7.07e-8; the discretization no longer affects sampling

@@ -376,6 +376,22 @@ def test_hull_membership_stops_on_the_dual_bound(monkeypatch):
     assert len(calls) == first_round
 
 
+def test_hull_membership_reports_the_lp_residual():
+    # the far-infeasible target of test_hull_membership_infeasible_inside_boundary:
+    # the verdict and the residual are the first round's LP optimum, below
+    # the miss of its support once the weights are renormalised
+    r = 0.2
+    r_out = 0.9 * LAMBDA_CZ * r
+    target = apply_gate_pauli(math.pi, BlochVector(r, 0, 1), BlochVector(r, 0, 1))
+    pts = _circle_points(cylinder(r_out).profile, 40)
+    lp_residual, _w, _duals = solve_lp(pts, pts, target.reshape(16))
+    feasible, d, residual = hull_membership(target, r_out, r_out, n=40)
+    assert not feasible
+    assert residual == lp_residual
+    assert np.max(np.abs(reconstruct(d) - target)) > residual
+    assert d.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+
 def test_decompose_fast_path_zero_radius():
     v_a = BlochVector(0, 0, 0.4)  # Z-diagonal, radius 0
     v_b = BlochVector(0.25, 0.1, 1.0)

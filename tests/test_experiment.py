@@ -172,14 +172,24 @@ def test_destructive_reuse_rejected():
         )
 
 
-def test_json_round_trip():
+def test_loads_parses_a_literal_spec():
+    text = """{"version": 1, "graph": [[0, 1], [1, 2]],
+               "inputs": {"0": {"theta": 0.2}, "1": {"theta": 0.2, "azimuth": 0.0},
+                          "2": {"theta": 0.2, "shrink": 1.0}},
+               "gates": [{"edge": [0, 1], "phi": 3.141592653589793},
+                         {"edge": [1, 2], "phi": 3.141592653589793}],
+               "schedule": [{"node": 0, "kind": "XY", "omega": 0.0},
+                            {"node": 1, "kind": "XY", "omega": 0.3,
+                             "adaptive": {"nodes": [0], "angles": [0.1, 0.9]}},
+                            {"node": 2, "kind": "XY", "mode": "destructive"}],
+               "sampler": {"num_samples": 16, "seed": 0}}"""
     spec = chain_spec(3, 0.2)
     spec.schedule[1] = MeasureStep(1, MeasurementSpec("XY", 0.3),
                                    AdaptiveRule((0,), (0.1, 0.9)))
-    text = spec.dumps()
     back = ExperimentSpec.loads(text)
-    assert back.dumps() == text
+    assert back == spec
     assert back.schedule[1].adaptive.nodes == (0,)
+    assert back.schedule[1].adaptive.angles == (0.1, 0.9)
 
 
 def test_powerlaw_expansion():

@@ -20,10 +20,11 @@ defined in cylsim: that fork is how a function accepts a second format for
 one value, and each value has one.
 
 Every public function, class and method of cylsim is used by the pipeline:
-some code outside its own definition names it, in a cylsim module other
-than `__init__` or under `bench/` or `scripts/`.  Code that only tests run
+it is reachable from an entry point, a cylsim module's top-level statements
+(`__init__` aside) or a file under `bench/` or `scripts/`, through the
+functions, methods and classes that those reach.  Code that only tests run
 lives in `tests/reference.py`; the few paper results that only tests check
-are listed in `TEST_ONLY`.
+are the roots listed in `TEST_ONLY`.
 """
 
 import ast
@@ -31,7 +32,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import cylsim
@@ -303,41 +303,87 @@ TEST_ONLY = {
 }
 
 
-def _names(tree) -> Counter:
-    """How often the code names each identifier: as a variable, an attribute
-    or a name imported from a module."""
-    found = Counter()
+def _bindings(tree, modules) -> tuple[set, set]:
+    """The names the source imports from cylsim (a package module of
+    `modules`, `cylsim` or a relative import), and the names it binds to
+    other packages, wherever the import stands."""
+    ours, foreign = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+        if isinstance(node, ast.Import):
+            bound = [(alias.name, alias.asname or alias.name.split(".")[0])
+                     for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            found.update(alias.name for alias in node.names)
-    return found
+            bound = [("cylsim" if node.level else node.module, alias.asname or alias.name)
+                     for alias in node.names]
+        else:
+            continue
+        for module, name in bound:
+            (ours if module.split(".")[0] in {"cylsim", *modules} else foreign).add(name)
+    return ours, foreign
 
 
-def unused_names(modules: dict[str, str], users: list[str]) -> list[str]:
+def unused_names(modules: dict[str, str], users: list[str], roots=()) -> list[str]:
     """`module:name` for each public function or class, and `module:Class.name`
     for each public method, that `modules` (source by module name) define
-    and no code names outside that definition: not another module, not a
-    user source, not the rest of its own module."""
+    and that nothing reaches from the entry points.
+
+    The entry points are each module's statements outside its definitions,
+    every user source and the `roots` keys.  A reached function or method
+    reaches what its body names; a reached class, what its decorators, bases
+    and class-level statements name, and its dunder methods.  A name reaches
+    the top-level definition of that name in its own module, or in any
+    module when the source imports it from cylsim.  An attribute reaches
+    every definition of that name, unless it is read off a module of another
+    package that the source imports (`json.dumps`)."""
     trees = {module: ast.parse(source) for module, source in modules.items()}
-    names = {module: _names(tree) for module, tree in trees.items()}
-    outside = sum((_names(ast.parse(source)) for source in users), Counter())
-    found = []
+    defs, attrs = {}, {}  # key -> node; name -> the keys that define it
     for module, tree in trees.items():
-        seen = outside + sum((n for m, n in names.items() if m != module), names[module])
-        defs = [(node.name, node) for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-        defs += [(f"{cls.name}.{node.name}", node) for _, cls in defs
-                 if isinstance(cls, ast.ClassDef) for node in cls.body
-                 if isinstance(node, ast.FunctionDef)]
-        for key, node in defs:
-            public = not any(part.startswith("_") for part in key.split("."))
-            if public and seen[node.name] == _names(node)[node.name]:
-                found.append(f"{module}:{key}")
-    return found
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}:{top.name}"] = top
+            if isinstance(top, ast.ClassDef):
+                defs.update({f"{module}:{top.name}.{node.name}": node for node in top.body
+                             if isinstance(node, ast.FunctionDef)})
+    for key in defs:
+        attrs.setdefault(key.split(":")[1].split(".")[-1], set()).add(key)
+    bindings = {module: _bindings(tree, modules) for module, tree in trees.items()}
+
+    def uses(nodes, module, ours, foreign) -> set[str]:
+        found = set()
+        for node in (node for top in nodes for node in ast.walk(top)):
+            if isinstance(node, ast.Name):
+                homes = trees if node.id in ours else [module]
+                found |= {f"{home}:{node.id}" for home in homes} & defs.keys()
+            elif isinstance(node, ast.Attribute):
+                base = node.value
+                while isinstance(base, ast.Attribute):
+                    base = base.value
+                if not (isinstance(base, ast.Name) and base.id in foreign):
+                    found |= attrs.get(node.attr, set())
+        return found
+
+    todo = set(roots)
+    for module, tree in trees.items():
+        todo |= uses([node for node in tree.body
+                      if not isinstance(node, (ast.FunctionDef, ast.ClassDef))],
+                     module, *bindings[module])
+    for tree in map(ast.parse, users):
+        todo |= uses([tree], None, *_bindings(tree, modules))
+    reached = set()
+    while todo:
+        key = todo.pop()
+        reached.add(key)
+        module, node = key.split(":")[0], defs[key]
+        if isinstance(node, ast.ClassDef):
+            todo |= {f"{key}.{m.name}" for m in node.body if isinstance(m, ast.FunctionDef)
+                     and m.name.startswith("__") and m.name.endswith("__")}
+            nodes = [*node.decorator_list, *node.bases, *node.keywords,
+                     *(n for n in node.body if not isinstance(n, ast.FunctionDef))]
+        else:
+            nodes = [node]
+        todo |= uses(nodes, module, *bindings[module]) - reached
+    return [key for key in defs if key not in reached
+            and not any(part.startswith("_") for part in key.split(":")[1].split("."))]
 
 
 def test_every_public_name_is_used():
@@ -346,23 +392,50 @@ def test_every_public_name_is_used():
     users = [path.read_text() for folder in ("bench", "scripts")
              for path in sorted((ROOT / folder).glob("*.py"))]
     assert users  # the checkout has bench/ and scripts/ beside tests/
-    assert sorted(unused_names(modules, users)) == sorted(TEST_ONLY)
+    assert unused_names(modules, users, TEST_ONLY) == []
+    # each allowlisted name is reached only through its own root
+    for name in sorted(TEST_ONLY):
+        assert name in unused_names(modules, users, TEST_ONLY - {name}), name
 
 
 def test_unused_name_guard_catches_each_form():
     core = "def f():\n    return 1\nclass C:\n    def m(self):\n        pass\n"
     assert unused_names({"core": core}, []) == ["core:f", "core:C", "core:C.m"]
-    # a name counts when another module, a user or the rest of its own
-    # module names it, as a variable, an attribute or an import
+    # module statements, users and explicit roots are entry points; a name
+    # reaches its own module's definition or one the source imports, and an
+    # attribute every definition of that name, also off a package module
     assert unused_names({"core": core, "cli": "from .core import f\nf()"},
                         ["import core\ncore.C().m()"]) == []
-    assert unused_names({"core": core + "def g():\n    return C().m() + f()\n"},
-                        ["g()"]) == []
-    # but not when only its own definition or a string names it; private
-    # names, dunders and methods of private classes are exempt
+    assert unused_names({"core": core}, ["import cylsim.core as c\nc.C()"],
+                        {"core:f"}) == ["core:C.m"]
+    # a reached body reaches what it names: x.make() reaches C.make and,
+    # through its body, C; a reached class its decorators, class-level
+    # statements and dunder methods; an import alone reaches nothing
     assert unused_names({"core": "def f(n):\n    return f(n - 1)\nclass C:\n"
-                                 "    def make(self):\n        return C()\n"
-                                 "    def __len__(self):\n        return 0\n"
-                                 "def _g():\n    pass\nclass _P:\n    def error(self):\n"
-                                 "        pass\n"},
-                        ["getattr(core, 'f')\nx.make()"]) == ["core:f", "core:C"]
+                                 "    def make(self):\n        return C()\n"},
+                        ["x.make()"]) == ["core:f"]
+    assert unused_names({"core": "def deco(c):\n    return c\ndef size():\n    return 2\n"
+                                 "def length():\n    return 0\n@deco\nclass C:\n"
+                                 "    n = size()\n    def __len__(self):\n"
+                                 "        return length()\n"},
+                        ["from cylsim import C\nC()"]) == []
+    assert unused_names({"core": core}, ["from cylsim.core import f, C"]) \
+        == ["core:f", "core:C", "core:C.m"]
+    assert unused_names({"core": "class C:\n    def a(self):\n        return self.b()\n"
+                                 "    def b(self):\n        return self.a()\n"},
+                        ["from cylsim.core import C\nC()"]) == ["core:C.a", "core:C.b"]
+    # not reached: a cycle of methods that only name each other, a method
+    # named only as an attribute of another package's module, a local
+    # variable or a string of the same name, or a name that the source
+    # neither defines nor imports; private names, dunders and methods of
+    # private classes are exempt
+    spec = "class S:\n    def dumps(self):\n        return ''\n    def total(self):\n" \
+           "        return 0\n"
+    assert unused_names({"core": spec, "cli": "import json\nfrom .core import S\n"
+                                              "total = 1\njson.dumps(S())"},
+                        ["getattr(S(), 'total')"]) == ["core:S.dumps", "core:S.total"]
+    assert unused_names({"core": spec, "cli": "S().dumps()"}, []) \
+        == ["core:S", "core:S.total"]
+    assert unused_names({"core": "def _g():\n    pass\nclass _P:\n    def error(self):\n"
+                                 "        pass\nclass C:\n    def __len__(self):\n"
+                                 "        return 0\n"}, []) == ["core:C"]

@@ -328,7 +328,7 @@ def test_exact_distribution_matches_kronecker_reference(monkeypatch):
             # differ in the last ulp between the two summation orders
             assert abs(fast.pruned_mass - slow.pruned_mass) <= 1e-12 * slow.pruned_mass
             for key, p in slow.probs.items():
-                assert abs(fast.probs[key] - p) <= 1e-12, (key, spec.dumps())
+                assert abs(fast.probs[key] - p) <= 1e-12, (key, spec)
             pruned += slow.pruned_mass > 0
         reused += any(g.after_measurement is not None and any(
             m.node in g.edge for m in spec.schedule[:g.after_measurement + 1])

@@ -51,7 +51,7 @@ def test_two_qubit_tv_and_invariants():
                   MeasureStep(1, MeasurementSpec("XY", 0.0))],
         sampler=SamplerSettings(num_samples=20000, seed=9),
     )
-    run = run_branches(spec, check_invariants=True)
+    run = run_branches(spec)
     assert run.max_radius_slack <= 1e-9
     exact = exact_distribution(spec)
     assert empirical_tv(run.outcomes, exact.probs) < 0.03
@@ -99,7 +99,7 @@ def test_short_run_is_a_prefix_of_a_long_one():
     # step k draws one uniform per sample from the Philox stream at counter
     # k, so sample j depends only on (seed, step, j): a 7-sample run repeats
     # the first 7 outcomes of a 2000-sample run with the same seed
-    long_run = run_branches(_adaptive_reuse_spec(2000), check_invariants=True)
+    long_run = run_branches(_adaptive_reuse_spec(2000))
     assert len(long_run.counts) == 8
     assert run_branches(_adaptive_reuse_spec(7)).outcomes == long_run.outcomes[:7]
 
@@ -216,7 +216,7 @@ def test_fast_path_after_measurement():
                   MeasureStep(1, MeasurementSpec("XY", 0.0, "quasi-destructive"))],
         sampler=SamplerSettings(num_samples=2000, seed=17),
     )
-    run = run_branches(spec, check_invariants=True)
+    run = run_branches(spec)
     assert run.fast_path_hits == 2000  # one per sample
     assert run.canonical_decompositions == 0
     exact = exact_distribution(spec)
@@ -244,7 +244,7 @@ def test_decompositions_tabulated_once_per_key_and_z_pair(monkeypatch):
             sampler=SamplerSettings(num_samples=samples, seed=17),
         )
         rows.clear()
-        run = run_branches(spec, check_invariants=True)
+        run = run_branches(spec)
         counts[samples] = sum(rows)
         assert run.canonical_decompositions == run.fast_path_hits == samples
     assert counts[200] == counts[2000] <= 9 * 2
@@ -276,8 +276,8 @@ def test_table_does_not_depend_on_input_radii():
 
 
 def test_check_invariants_catches_a_term_off_its_circle(monkeypatch):
-    # side a's terms pushed off their circle by 1e-6: the walk follows them,
-    # and only check_invariants sees the branch radius leave the ledger's
+    # side a's terms pushed off their circle by 1e-6: the radius check on the
+    # gate table refuses them before the walk, on every run
     real = decompose.decompose_gate_outputs
 
     def off_circle(*args):
@@ -294,9 +294,8 @@ def test_check_invariants_catches_a_term_off_its_circle(monkeypatch):
                   MeasureStep(1, MeasurementSpec("XY", 0.0))],
         sampler=SamplerSettings(num_samples=500, seed=9),
     )
-    run_branches(spec)
-    with pytest.raises(AssertionError, match="departs"):
-        run_branches(spec, check_invariants=True)
+    with pytest.raises(decompose.SolverFailure, match="departs"):
+        run_branches(spec)
 
 
 def test_max_closed_form_residual_reported():
@@ -329,7 +328,7 @@ def test_zero_radius_input_matches_oracle(theta0):
         schedule=[MeasureStep(i, MeasurementSpec("XY", 0.0)) for i in range(3)],
         sampler=SamplerSettings(num_samples=100000, seed=13),
     )
-    run = run_branches(spec, check_invariants=True)
+    run = run_branches(spec)
     assert run.max_radius_slack <= 1e-9
     exact = exact_distribution(spec)
     assert empirical_tv(run.outcomes, exact.probs) < 0.02
@@ -349,7 +348,7 @@ def test_sampler_solves_no_lp(monkeypatch):
         schedule=[MeasureStep(i, MeasurementSpec("XY", 0.0)) for i in range(5)],
         sampler=SamplerSettings(num_samples=500, seed=3),
     )
-    run = run_branches(spec, check_invariants=True)
+    run = run_branches(spec)
     assert len(run.outcomes) == 500
     assert run.canonical_decompositions == 4 * 500
     assert run.max_radius_slack <= 1e-9
@@ -410,6 +409,6 @@ def test_thermal_shrink_inputs():
                   MeasureStep(1, MeasurementSpec("XY", 0.0))],
         sampler=SamplerSettings(num_samples=30000, seed=29),
     )
-    run = run_branches(spec, check_invariants=True)
+    run = run_branches(spec)
     exact = exact_distribution(spec)
     assert empirical_tv(run.outcomes, exact.probs) < 0.02
