@@ -5,14 +5,12 @@ or for a batch of K operators its fixed-width form, `GateTerms`: K x 4
 weights with each row's support first and zero weights after it, the
 matching points, and each row's residual.
 
-Gate outputs on extremal inputs: split the output at azimuth 0 in closed form
-into at most four extremal product terms on each input's own z circle, at
-the given phase, exact to 1e-12 in the Pauli coefficients, and turn each
-side's points by its input's azimuth (diagonal gates commute with local
-Z-rotations).  The closed form is batched: `closed_forms` and
-`decompose_gate_outputs` take K rows through one stacked eigh, at most three
-Givens rounds on masked columns and one stacked SVD, and a row's terms do
-not depend on the rows batched with it.
+Gate outputs on extremal inputs: `closed_forms` splits K outputs at azimuth
+0 into at most four extremal product terms each, on each input's own z
+circle, at the given phase, exact to 1e-12 in the Pauli coefficients.  It
+takes the K rows through one stacked eigh, at most three Givens rounds on
+masked columns and one stacked SVD, and a row's terms do not depend on the
+rows batched with it.  The sampler's gate table is its one caller.
 
 General state spaces: one LP core, `solve_lp`, for
 nonnegative weights over candidate extremal points, minimising the
@@ -44,14 +42,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.ma  # noqa: F401  np.unique imports it on first call: load it here
 
-from .bloch import (
-    PAULI,
-    TWO_PI,
-    ZERO_RADIUS,
-    RadiusDomainError,
-    apply_gate_paulis,
-)
-from .growth import lemma1_feasible
+from .bloch import PAULI, ZERO_RADIUS
 
 
 def _load_highs():
@@ -112,7 +103,7 @@ class SolverFailure(RuntimeError):
 
 
 class InfeasibleRequest(ValueError):
-    """The analytic separability predicate rejects the requested radii."""
+    """The radius ledger rejects the experiment: a measured radius above 1."""
 
 
 class NonExtremalInput(ValueError):
@@ -149,14 +140,6 @@ def reconstruct(d) -> np.ndarray:
                      np.concatenate([ones, d.a], -1), np.concatenate([ones, d.b], -1))
 
 
-def _z_turn(points, angle):
-    """Points (..., 3) turned about the z axis by `angle`, which broadcasts
-    against the points' leading axes."""
-    c, s = np.cos(angle), np.sin(angle)
-    x, y = points[..., 0], points[..., 1]
-    return np.stack([c * x - s * y, s * x + c * y, points[..., 2]], -1)
-
-
 # ---------------------------------------------------------------------------
 # Closed form
 
@@ -180,7 +163,7 @@ def _circle_points(rebits, r, z):
                      np.broadcast_to(z[:, None], p.shape)], -1)
 
 
-def _support_first(weights, *arrays):
+def support_first(weights, *arrays):
     """Reorder each row's terms so those of positive weight come first, in
     their order, and zero the rest; returns (count, weights, *arrays)."""
     order = np.argsort(weights <= 0.0, axis=1, kind="stable")
@@ -253,7 +236,7 @@ def closed_forms(targets, r_out_a, r_out_b):
         cols[act, :, hi], cols[act, :, lo] = pair[:, :, 0], pair[:, :, 1]
 
     u, sv, vt = np.linalg.svd(cols.transpose(0, 2, 1).reshape(-1, 2, 2))
-    count, weights, p, q = _support_first(
+    count, weights, p, q = support_first(
         (sv[:, 0] ** 2).reshape(k, 4), u[:, :, 0].reshape(k, 4, 2),
         vt[:, 0, :].reshape(k, 4, 2))
     total = weights[:, 0] + weights[:, 1] + weights[:, 2] + weights[:, 3]
@@ -498,94 +481,3 @@ def hull_membership(target: np.ndarray, r_a: float, r_b: float,
         target, [(-1.0, r_a), (1.0, r_a)], [(-1.0, r_b), (1.0, r_b)], n, tol,
         refine_rounds)
     return residual <= tol, d, residual
-
-
-def _ratios(r, r_out):
-    """Radius ratios r / r_out: 0 for zero-radius inputs, inf for a
-    non-positive output radius."""
-    return np.where(r <= ZERO_RADIUS, 0.0,
-                    np.where(r_out > 0, r / np.where(r_out > 0, r_out, 1.0), math.inf))
-
-
-def decompose_gate_outputs(a, b, phi, r_out_a, r_out_b) -> GateTerms:
-    """Separable decompositions of V_phi (v_a x v_b) V_phi^dag over
-    Cyl(r_out_a) x Cyl(r_out_b) for K rows: inputs (K, 3) at any pole,
-    azimuth and phase, phases and output radii (K,).
-
-    An identity gate's row is the input product.  A zero-radius input is
-    Z-diagonal: the output conditions on its pole, and the |1> branch
-    Z-rotates the partner by phi.  Every other row takes the closed form
-    (`closed_forms`, all such rows at once) at azimuth 0 on the inputs' own
-    poles, each side turned by its input's azimuth.
-    lemma1_feasible decides feasibility (InfeasibleRequest); such a row
-    needs z = +-1 on both sides (NonExtremalInput), and a closed-form
-    residual above EXACT_TOL raises SolverFailure.  Each names the first
-    row that fails."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    r_out_a, r_out_b = np.asarray(r_out_a, float), np.asarray(r_out_b, float)
-    k = len(phi)
-    for pts in (a, b):
-        big = np.abs(pts[:, 2]) > 1.0 + 1e-12
-        if big.any():
-            raise RadiusDomainError(f"|z| = {abs(pts[big][0, 2])} exceeds 1")
-    r_a, r_b = np.hypot(a[:, 0], a[:, 1]), np.hypot(b[:, 0], b[:, 1])
-    f_a, f_b = _ratios(r_a, r_out_a), _ratios(r_b, r_out_b)
-    # rows that repeat the row before (as a gate step's z pairs do) share
-    # its verdict
-    fresh = np.ones(k, dtype=bool)
-    fresh[1:] = (f_a[1:] != f_a[:-1]) | (f_b[1:] != f_b[:-1]) | (phi[1:] != phi[:-1])
-    for fa, fb, p in zip(f_a[fresh].tolist(), f_b[fresh].tolist(), phi[fresh].tolist()):
-        if not lemma1_feasible(fa, fb, p):
-            raise InfeasibleRequest(
-                f"no separable decomposition for f_a={fa:.6g}, "
-                f"f_b={fb:.6g}, phi={p:.6g}")
-
-    # growth.fold_phase(phi) == 0 exactly when phi is a multiple of 2 pi
-    identity = np.fmod(phi, TWO_PI) == 0.0
-    zero_a, zero_b = r_a <= ZERO_RADIUS, r_b <= ZERO_RADIUS
-    diag = np.flatnonzero(~identity & (zero_a | zero_b))
-    coherent = np.flatnonzero(~identity & ~zero_a & ~zero_b)
-    weights, count, residual = np.zeros((k, 4)), np.zeros(k, dtype=np.intp), np.zeros(k)
-    pa, pb = np.zeros((k, 4, 3)), np.zeros((k, 4, 3))
-
-    weights[identity, 0], count[identity] = 1.0, 1
-    pa[identity, 0], pb[identity, 0] = a[identity], b[identity]
-
-    # the first zero-radius side is the diagonal one
-    diag_a = zero_a[diag][:, None, None]
-    z = np.where(zero_a[diag], a[diag, 2], b[diag, 2])
-    row = np.where(diag_a[:, 0], b[diag], a[diag])
-    p_up = (1.0 + z) / 2.0
-    poles = np.broadcast_to(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
-                            (len(diag), 2, 3))
-    partner = np.stack([row, _z_turn(row, phi[diag])], 1)
-    n, w, poles, partner = _support_first(np.column_stack([p_up, 1.0 - p_up]),
-                                          poles, partner)
-    weights[diag, :2], count[diag] = w, n
-    pa[diag, :2] = np.where(diag_a, poles, partner)
-    pb[diag, :2] = np.where(diag_a, partner, poles)
-
-    pole_a, pole_b = a[coherent, 2], b[coherent, 2]
-    if np.any(np.abs(np.abs(pole_a) - 1.0) > 1e-9) or \
-            np.any(np.abs(np.abs(pole_b) - 1.0) > 1e-9):
-        raise NonExtremalInput("the closed form needs inputs with z = +-1")
-    zeros = np.zeros(len(coherent))
-    targets = apply_gate_paulis(
-        phi[coherent], np.column_stack([r_a[coherent], zeros, np.copysign(1.0, pole_a)]),
-        np.column_stack([r_b[coherent], zeros, np.copysign(1.0, pole_b)]))
-    _psd, terms = closed_forms(targets, r_out_a[coherent], r_out_b[coherent])
-    miss = np.flatnonzero(terms.residual > EXACT_TOL)
-    if len(miss):
-        i = coherent[miss[0]]
-        raise SolverFailure(
-            f"closed-form residual {terms.residual[miss[0]]:.3e} exceeds "
-            f"{EXACT_TOL:.0e} for f_a={float(f_a[i])!r}, f_b={float(f_b[i])!r}, "
-            f"phi={float(phi[i])!r}")
-    azimuth_a = np.arctan2(a[coherent, 1], a[coherent, 0]) % TWO_PI
-    azimuth_b = np.arctan2(b[coherent, 1], b[coherent, 0]) % TWO_PI
-    weights[coherent], count[coherent] = terms.weights, terms.count
-    residual[coherent] = terms.residual
-    pa[coherent] = _z_turn(terms.a, azimuth_a[:, None])
-    pb[coherent] = _z_turn(terms.b, azimuth_b[:, None])
-    return GateTerms(weights, pa, pb, count, residual)

@@ -314,9 +314,10 @@ def radius_ledger(spec: ExperimentSpec) -> LedgerResult:
     after it (`radii`), which is all the sampler needs; rows hold no other
     node, so the trace is O(gates + measurements).  A measured node's radius
     is checked (<= 1) at its measurement time, recorded in its row, and then
-    drops to 0.
+    drops to 0.  lambda is computed once per distinct phase.
     """
     radii = {node: spec.inputs[node].radius() for node in spec.node_ids()}
+    lams: dict[float, float] = {}  # phi -> lambda(phi)
     trace: list[LedgerRow] = []
     bad_step = None
     for step, (kind, payload) in enumerate(spec.timeline()):
@@ -324,7 +325,9 @@ def radius_ledger(spec: ExperimentSpec) -> LedgerResult:
             a, b = payload.edge
             inputs = (radii[a], radii[b])
             if min(inputs) > ZERO_RADIUS:
-                lam = lambda_phi(payload.phi)
+                lam = lams.get(payload.phi)
+                if lam is None:
+                    lam = lams[payload.phi] = lambda_phi(payload.phi)
                 radii[a] *= lam
                 radii[b] *= lam
             trace.append(LedgerRow(step, "gate", {a: radii[a], b: radii[b]},

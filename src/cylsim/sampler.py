@@ -12,12 +12,15 @@ xy = r ph.  A gate step's terms depend only on its key (phi, zero_a, zero_b),
 which of its ledger inputs are zero radii, and its input z pair: the ledger
 grows both sides of a coherent gate by lambda(phi), so its closed form sees
 the ratios 1/lambda(phi) and scales with the output radius, and diagonal
-gates commute with local Z-rotations.  So before the walk, batched calls of
-`decompose.decompose_gate_outputs` (TABLE_BLOCK rows each) tabulate each key
-once, at azimuth 0 and unit radius (a coherent key from 1/lambda(phi) to 1,
-any other from 1 to 1 and a zero side at 0), for the four pole pairs of a
-coherent key (only an XY measurement sets z to 0, and it zeroes the radius
-too) or all nine of any other.
+gates commute with local Z-rotations.  So before the walk, `_gate_terms`
+tabulates each key once, TABLE_BLOCK rows per call, at azimuth 0 and unit
+radius (a coherent key from 1/lambda(phi) to 1, any other from 1 to 1 and a
+zero side at 0), for the four pole pairs of a coherent key (only an XY
+measurement sets z to 0, and it zeroes the radius too) or all nine of any
+other: an identity key's row is its input product, a zero side splits on
+its z, and a coherent key takes `decompose.closed_forms`.  The ledger alone
+decides feasibility; the closed form's residual guard catches a radius it
+got wrong.
 
 All samples then advance through the timeline together, as arrays: each
 node holds an int8 z row and a complex ph row with one entry per sample.  A
@@ -42,7 +45,7 @@ import numpy as np
 from numpy.random import Generator, Philox  # numpy loads it lazily: load it here
 
 from . import decompose
-from .bloch import ZERO_RADIUS, BlochVector, measure_prob
+from .bloch import ZERO_RADIUS, BlochVector, apply_gate_paulis, measure_prob
 from .experiment import ExperimentSpec, radius_ledger, resolve_measure_angle
 from .growth import fold_phase, lambda_phi
 
@@ -66,8 +69,8 @@ class SampleRun:
     counts: dict[str, int] = field(default_factory=dict)
 
 
-# Rows of the gate table decomposed per `decompose_gate_outputs` call: bounds
-# the temporaries of a table of any size to a few MB.
+# Rows of the gate table decomposed per `_gate_terms` call: bounds the
+# temporaries of a table of any size to a few MB.
 TABLE_BLOCK = 4096
 # The input z pairs (z_a, z_b), at index (3 z_a + z_b) mod 9, where the walk
 # reads them (a negative index counts from the end).
@@ -92,12 +95,54 @@ class _GateTable(NamedTuple):
     slack: float  # largest distance of a support term from its side's circle
 
 
+def _gate_terms(phi, identity, coherent, r_in, r_out, z) -> decompose.GateTerms:
+    """The terms of K table rows at azimuth 0: phases (K,), whether a row's
+    gate is the identity or takes the closed form (K,), and per side (K, 2)
+    input and output radii and input z.
+
+    An identity row is its input product.  Otherwise a zero side (the first,
+    if both are) is Z-diagonal: the output splits on its z into its two
+    poles, and the -1 branch turns the partner by phi.  A coherent row takes
+    `decompose.closed_forms` at the inputs' poles, and a residual above
+    EXACT_TOL raises SolverFailure: the ledger's radii make every coherent
+    row feasible, so only a radius bug can miss."""
+    k = len(phi)
+    weights, count, residual = np.zeros((k, 4)), np.zeros(k, np.intp), np.zeros(k)
+    pts = np.zeros((k, 2, 4, 3))  # per row, side and term: (x, y, z)
+    inputs = np.stack([r_in, np.zeros((k, 2)), z], -1)  # (K, 2, 3)
+    weights[identity, 0], count[identity], pts[identity, :, 0] = 1.0, 1, inputs[identity]
+
+    zero = np.flatnonzero(~identity & ~coherent)
+    diag = np.where(r_in[zero, 0] <= ZERO_RADIUS, 0, 1)
+    p_up = (1.0 + z[zero, diag]) / 2.0
+    poles = np.broadcast_to(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), (len(zero), 2, 3))
+    partner = inputs[zero, 1 - diag]
+    turned = np.column_stack([partner[:, 0] * np.cos(phi[zero]),
+                              partner[:, 0] * np.sin(phi[zero]), partner[:, 2]])
+    count[zero], weights[zero, :2], pts[zero, diag, :2], pts[zero, 1 - diag, :2] = \
+        decompose.support_first(np.column_stack([p_up, 1.0 - p_up]), poles,
+                                np.stack([partner, turned], 1))
+
+    rows = np.flatnonzero(coherent)
+    _psd, terms = decompose.closed_forms(
+        apply_gate_paulis(phi[rows], inputs[rows, 0], inputs[rows, 1]),
+        r_out[rows, 0], r_out[rows, 1])
+    miss = np.flatnonzero(terms.residual > decompose.EXACT_TOL)
+    if len(miss):
+        raise decompose.SolverFailure(
+            f"closed-form residual {terms.residual[miss[0]]:.3e} exceeds "
+            f"{decompose.EXACT_TOL:.0e} at phi={float(phi[rows[miss[0]]])!r}")
+    weights[rows], count[rows], residual[rows] = terms.weights, terms.count, terms.residual
+    pts[rows, 0], pts[rows, 1] = terms.a, terms.b
+    return decompose.GateTerms(weights, pts[:, 0], pts[:, 1], count, residual)
+
+
 def _tabulate(gates) -> _GateTable:
     """Decompose each key of the (GateStep, LedgerRow) pairs at unit radius
-    for each input z pair it sees, TABLE_BLOCK rows per call.  Every support
-    term must lie on its side's circle (radius 1, or 0 on a zero side) to
-    1e-9, or SolverFailure is raised: the walk keeps each branch vector at
-    its ledger radius only through that.
+    for each input z pair it sees, TABLE_BLOCK rows per `_gate_terms` call.
+    Every support term must lie on its side's circle (radius 1, or 0 on a
+    zero side) to 1e-9, or SolverFailure is raised: the walk keeps each
+    branch vector at its ledger radius only through that.
 
     A term is picked as the first whose cumulative weight exceeds u times
     the total, or else the last: the thresholds hold each row's cumulative
@@ -109,7 +154,8 @@ def _tabulate(gates) -> _GateTable:
     phi = np.array([p for p, _, _ in keys], dtype=float)
     r_out = np.array([(not zero_a, not zero_b) for _, zero_a, zero_b in keys],
                      dtype=float).reshape(-1, 2)
-    coherent = r_out.all(axis=1) & np.array([fold_phase(p) != 0.0 for p in phi], bool)
+    identity = np.array([fold_phase(p) == 0.0 for p in phi], bool)
+    coherent = r_out.all(axis=1) & ~identity
     lam = np.array([lambda_phi(p) for p in phi]).reshape(-1, 1)
     r_in = np.where(coherent[:, None], 1.0 / lam, r_out)
     entry, pair = np.nonzero(np.where(coherent[:, None], _POLE_PAIRS, True))
@@ -124,11 +170,8 @@ def _tabulate(gates) -> _GateTable:
     for start in range(0, size, TABLE_BLOCK):
         block = slice(start, start + TABLE_BLOCK)
         k = entry[block]
-        zeros = np.zeros(len(k))
-        terms = decompose.decompose_gate_outputs(
-            np.column_stack([r_in[k, 0], zeros, _Z_A[pair[block]]]),
-            np.column_stack([r_in[k, 1], zeros, _Z_B[pair[block]]]),
-            phi[k], r_out[k, 0], r_out[k, 1])
+        terms = _gate_terms(phi[k], identity[k], coherent[k], r_in[k], r_out[k],
+                            np.column_stack([_Z_A[pair[block]], _Z_B[pair[block]]]))
         cum = np.cumsum(terms.weights, axis=1)
         table.total[block] = cum[:, 3]
         table.thresholds[block] = np.where(

@@ -8,28 +8,55 @@ from pathlib import Path
 
 import numpy as np
 
-from cylsim.bloch import PAULI, BlochVector, DiagonalGate, MeasurementSpec, apply_gate_paulis
+from cylsim.bloch import (
+    PAULI,
+    TWO_PI,
+    ZERO_RADIUS,
+    BlochVector,
+    DiagonalGate,
+    MeasurementSpec,
+    RadiusDomainError,
+    apply_gate_paulis,
+)
 from cylsim.decompose import (
     EXACT_TOL,
     Decomposition,
     GateTerms,
+    InfeasibleRequest,
+    NonExtremalInput,
+    SolverFailure,
     closed_forms,
-    decompose_gate_outputs,
     reconstruct,
+    support_first,
 )
+from cylsim.growth import lemma1_feasible
 from cylsim.oracle import MAX_QUBITS, TooManyQubits
 
 
-def bench_workloads():
-    """bench/workloads.py, loaded from its file (its dataclasses need it in
-    sys.modules)."""
-    if "bench_workloads" not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-        module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_file(name, path):
+    """The module at `path`, loaded once under `name` (dataclasses need
+    their module in sys.modules)."""
+    if name not in sys.modules:
+        module_spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(module_spec)
-        sys.modules["bench_workloads"] = module
+        sys.modules[name] = module
         module_spec.loader.exec_module(module)
-    return sys.modules["bench_workloads"]
+    return sys.modules[name]
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file."""
+    return _load_file("bench_workloads", ROOT / "bench" / "workloads.py")
+
+
+def bench_sampler():
+    """scripts/bench_sampler.py, loaded from its file after the neighbour it
+    imports, scripts/bench_oracle.py."""
+    _load_file("bench_oracle", ROOT / "scripts" / "bench_oracle.py")
+    return _load_file("bench_sampler", ROOT / "scripts" / "bench_sampler.py")
 
 
 def coupling_operator(f_a: float, f_b: float, phi: float) -> np.ndarray:
@@ -134,6 +161,108 @@ def apply_gate_pauli(phi: float, v_a: BlochVector, v_b: BlochVector) -> np.ndarr
                              v_b.as_array()[None])[0]
 
 
+# The general gate-output decomposer the sampler's table once went through:
+# the reference that `sampler._gate_terms` is checked against.
+
+def _z_turn(points, angle):
+    """Points (..., 3) turned about the z axis by `angle`, which broadcasts
+    against the points' leading axes."""
+    c, s = np.cos(angle), np.sin(angle)
+    x, y = points[..., 0], points[..., 1]
+    return np.stack([c * x - s * y, s * x + c * y, points[..., 2]], -1)
+
+
+def _ratios(r, r_out):
+    """Radius ratios r / r_out: 0 for zero-radius inputs, inf for a
+    non-positive output radius."""
+    return np.where(r <= ZERO_RADIUS, 0.0,
+                    np.where(r_out > 0, r / np.where(r_out > 0, r_out, 1.0), math.inf))
+
+
+def decompose_gate_outputs(a, b, phi, r_out_a, r_out_b) -> GateTerms:
+    """Separable decompositions of V_phi (v_a x v_b) V_phi^dag over
+    Cyl(r_out_a) x Cyl(r_out_b) for K rows: inputs (K, 3) at any pole,
+    azimuth and phase, phases and output radii (K,).
+
+    An identity gate's row is the input product.  A zero-radius input is
+    Z-diagonal: the output conditions on its pole, and the |1> branch
+    Z-rotates the partner by phi.  Every other row takes the closed form
+    (`closed_forms`, all such rows at once) at azimuth 0 on the inputs' own
+    poles, each side turned by its input's azimuth.
+    lemma1_feasible decides feasibility (InfeasibleRequest); such a row
+    needs z = +-1 on both sides (NonExtremalInput), and a closed-form
+    residual above EXACT_TOL raises SolverFailure.  Each names the first
+    row that fails."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    r_out_a, r_out_b = np.asarray(r_out_a, float), np.asarray(r_out_b, float)
+    k = len(phi)
+    for pts in (a, b):
+        big = np.abs(pts[:, 2]) > 1.0 + 1e-12
+        if big.any():
+            raise RadiusDomainError(f"|z| = {abs(pts[big][0, 2])} exceeds 1")
+    r_a, r_b = np.hypot(a[:, 0], a[:, 1]), np.hypot(b[:, 0], b[:, 1])
+    f_a, f_b = _ratios(r_a, r_out_a), _ratios(r_b, r_out_b)
+    # rows that repeat the row before (as a gate step's z pairs do) share
+    # its verdict
+    fresh = np.ones(k, dtype=bool)
+    fresh[1:] = (f_a[1:] != f_a[:-1]) | (f_b[1:] != f_b[:-1]) | (phi[1:] != phi[:-1])
+    for fa, fb, p in zip(f_a[fresh].tolist(), f_b[fresh].tolist(), phi[fresh].tolist()):
+        if not lemma1_feasible(fa, fb, p):
+            raise InfeasibleRequest(
+                f"no separable decomposition for f_a={fa:.6g}, "
+                f"f_b={fb:.6g}, phi={p:.6g}")
+
+    # growth.fold_phase(phi) == 0 exactly when phi is a multiple of 2 pi
+    identity = np.fmod(phi, TWO_PI) == 0.0
+    zero_a, zero_b = r_a <= ZERO_RADIUS, r_b <= ZERO_RADIUS
+    diag = np.flatnonzero(~identity & (zero_a | zero_b))
+    coherent = np.flatnonzero(~identity & ~zero_a & ~zero_b)
+    weights, count, residual = np.zeros((k, 4)), np.zeros(k, dtype=np.intp), np.zeros(k)
+    pa, pb = np.zeros((k, 4, 3)), np.zeros((k, 4, 3))
+
+    weights[identity, 0], count[identity] = 1.0, 1
+    pa[identity, 0], pb[identity, 0] = a[identity], b[identity]
+
+    # the first zero-radius side is the diagonal one
+    diag_a = zero_a[diag][:, None, None]
+    z = np.where(zero_a[diag], a[diag, 2], b[diag, 2])
+    row = np.where(diag_a[:, 0], b[diag], a[diag])
+    p_up = (1.0 + z) / 2.0
+    poles = np.broadcast_to(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+                            (len(diag), 2, 3))
+    partner = np.stack([row, _z_turn(row, phi[diag])], 1)
+    n, w, poles, partner = support_first(np.column_stack([p_up, 1.0 - p_up]),
+                                         poles, partner)
+    weights[diag, :2], count[diag] = w, n
+    pa[diag, :2] = np.where(diag_a, poles, partner)
+    pb[diag, :2] = np.where(diag_a, partner, poles)
+
+    pole_a, pole_b = a[coherent, 2], b[coherent, 2]
+    if np.any(np.abs(np.abs(pole_a) - 1.0) > 1e-9) or \
+            np.any(np.abs(np.abs(pole_b) - 1.0) > 1e-9):
+        raise NonExtremalInput("the closed form needs inputs with z = +-1")
+    zeros = np.zeros(len(coherent))
+    targets = apply_gate_paulis(
+        phi[coherent], np.column_stack([r_a[coherent], zeros, np.copysign(1.0, pole_a)]),
+        np.column_stack([r_b[coherent], zeros, np.copysign(1.0, pole_b)]))
+    _psd, terms = closed_forms(targets, r_out_a[coherent], r_out_b[coherent])
+    miss = np.flatnonzero(terms.residual > EXACT_TOL)
+    if len(miss):
+        i = coherent[miss[0]]
+        raise SolverFailure(
+            f"closed-form residual {terms.residual[miss[0]]:.3e} exceeds "
+            f"{EXACT_TOL:.0e} for f_a={float(f_a[i])!r}, f_b={float(f_b[i])!r}, "
+            f"phi={float(phi[i])!r}")
+    azimuth_a = np.arctan2(a[coherent, 1], a[coherent, 0]) % TWO_PI
+    azimuth_b = np.arctan2(b[coherent, 1], b[coherent, 0]) % TWO_PI
+    weights[coherent], count[coherent] = terms.weights, terms.count
+    residual[coherent] = terms.residual
+    pa[coherent] = _z_turn(terms.a, azimuth_a[:, None])
+    pb[coherent] = _z_turn(terms.b, azimuth_b[:, None])
+    return GateTerms(weights, pa, pb, count, residual)
+
+
 def terms_row(terms: GateTerms, k: int) -> Decomposition:
     """Row k of a GateTerms table: its support, without the zero padding."""
     n = terms.count[k]
@@ -152,7 +281,7 @@ def closed_form_decomposition(target, r_out_a: float, r_out_b: float):
 def decompose_gate_output(v_a: BlochVector, v_b: BlochVector, phi: float,
                           r_out_a: float, r_out_b: float) -> Decomposition:
     """Separable decomposition of V_phi (v_a x v_b) V_phi^dag over
-    Cyl(r_out_a) x Cyl(r_out_b): one row of `decompose.decompose_gate_outputs`."""
+    Cyl(r_out_a) x Cyl(r_out_b): one row of `decompose_gate_outputs`."""
     return terms_row(decompose_gate_outputs(v_a.as_array()[None], v_b.as_array()[None],
                                             [phi], [r_out_a], [r_out_b]), 0)
 

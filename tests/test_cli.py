@@ -559,13 +559,13 @@ def test_term_off_its_circle_exit_code(capsys, tmp_path, monkeypatch):
     # the sampler's radius check runs on every CLI run and exits 3, one line
     from cylsim import decompose
 
-    real = decompose.decompose_gate_outputs
+    real = decompose.closed_forms
 
     def off_circle(*args):
-        terms = real(*args)
-        return terms._replace(a=terms.a * [1.0 + 1e-6, 1.0 + 1e-6, 1.0])
+        feasible, terms = real(*args)
+        return feasible, terms._replace(a=terms.a * [1.0 + 1e-6, 1.0 + 1e-6, 1.0])
 
-    monkeypatch.setattr(decompose, "decompose_gate_outputs", off_circle)
+    monkeypatch.setattr(decompose, "closed_forms", off_circle)
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(_pair_spec()))
     for command in ("simulate", "verify"):
@@ -573,6 +573,21 @@ def test_term_off_its_circle_exit_code(capsys, tmp_path, monkeypatch):
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("solver failure:") and "departs" in err
+
+
+def test_short_lambda_in_the_table_exit_code(capsys, tmp_path, monkeypatch):
+    # a gate table tabulated from 1/(0.99 lambda) fails the closed form's
+    # residual guard: exit 3, one line
+    from cylsim import sampler
+    from cylsim.growth import lambda_phi
+
+    monkeypatch.setattr(sampler, "lambda_phi", lambda phi: 0.99 * lambda_phi(phi))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_pair_spec()))
+    code, out, err = run_cli(["simulate", "--spec", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("solver failure: closed-form residual")
 
 
 def test_feasible_pair_at_coarse_discretization(capsys, tmp_path):

@@ -14,7 +14,6 @@ from cylsim.decompose import (
     InfeasibleRequest,
     NonExtremalInput,
     closed_forms,
-    decompose_gate_outputs,
     hull_membership,
     reconstruct,
     residual_lower_bound,
@@ -27,6 +26,7 @@ from reference import (
     closed_form_decomposition,
     coupling_operator,
     decompose_gate_output,
+    decompose_gate_outputs,
     scalar_closed_form,
     terms_row,
     z_rotate,
@@ -513,19 +513,26 @@ def test_ledger_decompositions_stable_under_one_ulp():
     one-ulp changes of either input radius move every term, in order, by at
     most 1e-9: the seed-to-outcome mapping of the sampler must not rest on
     the sign of a rounding-level coupling.  2000 random inputs in all four z
-    frames, every fifth with r_a = r_b, phases in (-2 pi, 4 pi)."""
-    def table(r_a, r_b, z_a, z_b, phi, lam):
-        d = decompose_gate_output(BlochVector(r_a, 0, z_a), BlochVector(r_b, 0, z_b),
-                                  phi, lam * r_a, lam * r_b)
-        return np.column_stack([d.weights, d.a, d.b])
-
-    for k, (z_a, z_b, phi, lam, r_a, r_b) in enumerate(_ledger_inputs()):
-        base = table(r_a, r_b, z_a, z_b, phi, lam)
-        for ra, rb in ((np.nextafter(r_a, 1), r_b), (np.nextafter(r_a, 0), r_b),
-                       (r_a, np.nextafter(r_b, 1)), (r_a, np.nextafter(r_b, 0))):
-            moved = table(ra, rb, z_a, z_b, phi, lam)
-            assert moved.shape == base.shape, k
-            assert np.max(np.abs(moved - base)) <= 1e-9, k
+    frames, every fifth with r_a = r_b, phases in (-2 pi, 4 pi); the inputs
+    and their four one-ulp moves go through one batched call, whose rows are
+    bitwise their one-row calls."""
+    z_a, z_b, phi, lam, r_a, r_b = (np.array(x) for x in zip(*_ledger_inputs()))
+    moves = [(r_a, r_b), (np.nextafter(r_a, 1), r_b), (np.nextafter(r_a, 0), r_b),
+             (r_a, np.nextafter(r_b, 1)), (r_a, np.nextafter(r_b, 0))]
+    ra, rb = (np.concatenate(side) for side in zip(*moves))
+    z_a, z_b, phi, lam = (np.tile(x, len(moves)) for x in (z_a, z_b, phi, lam))
+    zeros = np.zeros(len(ra))
+    terms = decompose_gate_outputs(np.column_stack([ra, zeros, z_a]),
+                                   np.column_stack([rb, zeros, z_b]),
+                                   phi, lam * ra, lam * rb)
+    # rows (move, input), each term's (weight, a, b); zero weights and points
+    # pad every row past its support
+    table = np.concatenate([terms.weights[..., None], terms.a, terms.b], -1) \
+        .reshape(len(moves), len(r_a), -1)
+    count = terms.count.reshape(len(moves), len(r_a))
+    assert np.array_equal(count[1:], np.broadcast_to(count[0], count[1:].shape))
+    drift = np.max(np.abs(table[1:] - table[0]), axis=(0, 2))
+    assert np.all(drift <= 1e-9), np.flatnonzero(drift > 1e-9)
 
 
 def test_decompose_infeasible_raises():
@@ -540,22 +547,26 @@ def test_closed_form_matches_lemma1():
     2400 at z = +1, azimuth 0 and phi in [0, pi], then 2400 in all four z
     frames at random azimuths and phases in (-2 pi, 4 pi).  The PSD verdict
     is lemma 1's, and feasible decompositions are exact, have at most 4
-    terms and lie on the output circles at the inputs' own z."""
-    for k, (target, r_a, r_b, z_a, z_b, phi, r_out_a, r_out_b) in \
-            enumerate(_lemma1_points()):
-        feasible, d, residual = closed_form_decomposition(target, r_out_a, r_out_b)
-        assert feasible == lemma1_feasible(r_a / r_out_a, r_b / r_out_b, phi), \
-            (r_a, r_b, phi, k)
-        if not feasible:
-            continue
-        assert residual <= 1e-12
-        assert 1 <= len(d.weights) <= 4
-        assert np.all(d.weights >= 0.0) and d.weights.sum() == pytest.approx(1.0, abs=1e-14)
-        for r in _radii(d.a):
-            assert r == pytest.approx(r_out_a, abs=1e-12)
-        for r in _radii(d.b):
-            assert r == pytest.approx(r_out_b, abs=1e-12)
-        assert np.all(d.a[:, 2] == z_a) and np.all(d.b[:, 2] == z_b)
+    terms and lie on the output circles at the inputs' own z.  One
+    `closed_forms` call takes every point; its rows are bitwise one-row
+    calls."""
+    target, r_a, r_b, z_a, z_b, phi, r_out_a, r_out_b = \
+        (np.array(x) for x in zip(*_lemma1_points()))
+    feasible, terms = closed_forms(target, r_out_a, r_out_b)
+    analytic = np.array([lemma1_feasible(*f) for f in zip((r_a / r_out_a).tolist(),
+                                                         (r_b / r_out_b).tolist(),
+                                                         phi.tolist())])
+    assert np.array_equal(feasible, analytic), np.flatnonzero(feasible != analytic)
+    f = feasible
+    assert np.all(terms.residual[f] <= 1e-12)
+    assert np.all((1 <= terms.count[f]) & (terms.count[f] <= 4))
+    assert np.all(terms.weights[f] >= 0.0)
+    assert np.all(np.abs(terms.weights[f].sum(axis=1) - 1.0) <= 1e-14)
+    support = (np.arange(4) < terms.count[:, None]) & f[:, None]
+    for pts, r_out, z in ((terms.a, r_out_a, z_a), (terms.b, r_out_b, z_b)):
+        radii = np.hypot(pts[..., 0], pts[..., 1])
+        assert np.all(np.abs(radii - r_out[:, None])[support] <= 1e-12)
+        assert np.all((pts[..., 2] == z[:, None])[support])
 
 
 def _closed_form_cases():

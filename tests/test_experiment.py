@@ -126,6 +126,35 @@ def test_ledger_rows_hold_only_their_own_nodes():
         assert set(row.radii) == own
 
 
+def test_ledger_computes_lambda_once_per_phase(monkeypatch):
+    # a 12-node power-law chain: 66 growing gates at 11 phases; the radii
+    # are bitwise those of a walk that computes lambda at every gate
+    from cylsim import experiment, growth
+
+    spec = ExperimentSpec.from_json({
+        "version": 1,
+        "graph": [],
+        "inputs": {str(k): {"theta": math.radians(2)} for k in range(12)},
+        "gates": {"powerlaw": {"alpha": 4.0, "nn_phase": math.pi, "cutoff": 11}},
+        "schedule": [{"node": k, "kind": "XY", "omega": 0.0} for k in range(12)],
+        "sampler": {"num_samples": 1, "seed": 3},
+    })
+    radii = {k: spec.inputs[k].radius() for k in spec.node_ids()}
+    expected = []
+    for kind, step in spec.timeline():
+        if kind == "gate":
+            for node in step.edge:
+                radii[node] *= growth.lambda_phi(step.phi)
+            expected.append({node: radii[node] for node in step.edge})
+    calls = []
+    monkeypatch.setattr(experiment, "lambda_phi",
+                        lambda phi: calls.append(phi) or growth.lambda_phi(phi))
+    ledger = radius_ledger(spec)
+    assert [row.radii for row in ledger.trace if row.kind == "gate"] == expected
+    assert len(expected) == 66 and sorted(calls) == sorted({g.phi for g in spec.gates})
+    assert len(calls) == 11
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="no input"):
         ExperimentSpec(edges=[(0, 1)], inputs={0: NodeInput(0.1)},

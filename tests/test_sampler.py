@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cylsim import decompose
-from cylsim.bloch import BlochVector, MeasurementSpec, measure_prob, norm_angle
+from cylsim import decompose, sampler
+from cylsim.bloch import ZERO_RADIUS, BlochVector, MeasurementSpec, measure_prob, norm_angle
 from cylsim.decompose import InfeasibleRequest
 from cylsim.experiment import (
     AdaptiveRule,
@@ -16,12 +16,16 @@ from cylsim.experiment import (
     radius_ledger,
     resolve_measure_angle,
 )
+from cylsim.growth import lambda_phi
 from cylsim.oracle import exact_distribution
 from cylsim.sampler import AlphabetMismatch, empirical_tv, run_branches
 from reference import (
+    bench_sampler,
     bench_workloads,
     decompose_gate_output,
+    decompose_gate_outputs,
     post_measurement_state,
+    terms_row,
     z_rotate,
 )
 
@@ -185,6 +189,24 @@ def _own_phases_spec(samples):
         sampler=SamplerSettings(num_samples=samples, seed=19))
 
 
+def _identity_and_zero_sides_spec(samples):
+    """Identity gates at phi = 0 and 4 pi (one with a zero side), a gate
+    anchored after an XY measurement (a zero side at z = 0) and one after a
+    Z measurement too (both sides zero)."""
+    qd = "quasi-destructive"
+    return ExperimentSpec(
+        edges=[(0, 1), (1, 2), (0, 2)],
+        inputs={k: NodeInput(0.3, azimuth=0.7 * k) for k in range(3)},
+        gates=[GateStep((0, 1), 0.0), GateStep((1, 2), 4 * math.pi),
+               GateStep((0, 1), math.pi), GateStep((0, 2), 0.0, after_measurement=0),
+               GateStep((0, 2), 1.3, after_measurement=0),
+               GateStep((0, 1), 2.1, after_measurement=1)],
+        schedule=[MeasureStep(0, MeasurementSpec("XY", 0.0, qd)),
+                  MeasureStep(1, MeasurementSpec("Z", 0.0, qd)),
+                  MeasureStep(2, MeasurementSpec("XY", 0.4))],
+        sampler=SamplerSettings(num_samples=samples, seed=23))
+
+
 @pytest.mark.parametrize("spec", [
     _adaptive_reuse_spec(400),
     ExperimentSpec(  # a zero-radius input, Z measurements and a shrunk input
@@ -199,7 +221,8 @@ def _own_phases_spec(samples):
                               AdaptiveRule((1,), (0.1, 0.9)))],
         sampler=SamplerSettings(num_samples=400, seed=8)),
     _own_phases_spec(3000),
-], ids=["adaptive-reuse", "zero-radius-z-shrink", "own-phases"])
+    _identity_and_zero_sides_spec(400),
+], ids=["adaptive-reuse", "zero-radius-z-shrink", "own-phases", "identity-zero-sides"])
 def test_array_walk_matches_per_sample_reference(spec):
     assert run_branches(spec).outcomes == _per_sample_reference(spec)
 
@@ -228,9 +251,14 @@ def test_decompositions_tabulated_once_per_key_and_z_pair(monkeypatch):
     # zero_a, zero_b), and the table holds one row per key and input z pair
     # it can see, never per sample
     rows = []
-    real = decompose.decompose_gate_outputs
-    monkeypatch.setattr(decompose, "decompose_gate_outputs",
-                        lambda *args: rows.append(len(args[2])) or real(*args))
+    real = sampler._tabulate
+
+    def tabulate(gates):
+        table = real(gates)
+        rows.append(len(table.total))
+        return table
+
+    monkeypatch.setattr(sampler, "_tabulate", tabulate)
     theta = math.radians(12)
     counts = {}
     for samples in (200, 2000):
@@ -278,13 +306,13 @@ def test_table_does_not_depend_on_input_radii():
 def test_check_invariants_catches_a_term_off_its_circle(monkeypatch):
     # side a's terms pushed off their circle by 1e-6: the radius check on the
     # gate table refuses them before the walk, on every run
-    real = decompose.decompose_gate_outputs
+    real = decompose.closed_forms
 
     def off_circle(*args):
-        terms = real(*args)
-        return terms._replace(a=terms.a * np.array([1.0 + 1e-6, 1.0 + 1e-6, 1.0]))
+        feasible, terms = real(*args)
+        return feasible, terms._replace(a=terms.a * np.array([1.0 + 1e-6, 1.0 + 1e-6, 1.0]))
 
-    monkeypatch.setattr(decompose, "decompose_gate_outputs", off_circle)
+    monkeypatch.setattr(decompose, "closed_forms", off_circle)
     theta = math.radians(20)
     spec = ExperimentSpec(
         edges=[(0, 1)],
@@ -295,6 +323,74 @@ def test_check_invariants_catches_a_term_off_its_circle(monkeypatch):
         sampler=SamplerSettings(num_samples=500, seed=9),
     )
     with pytest.raises(decompose.SolverFailure, match="departs"):
+        run_branches(spec)
+
+
+def _table_specs():
+    workloads = bench_workloads()
+    return [ExperimentSpec.from_json(workloads.chain_spec(91)),
+            ExperimentSpec.from_json(workloads.grid_spec(91)),
+            ExperimentSpec.from_json(bench_sampler().powerlaw_lattice_spec(21, 1, 20)),
+            _own_phases_spec(1), _identity_and_zero_sides_spec(1)]
+
+
+@pytest.mark.parametrize("spec", _table_specs(),
+                         ids=["chain", "grid", "lattice", "own-phases", "identity-zero-sides"])
+def test_gate_table_matches_the_reference_decomposer(spec, monkeypatch):
+    # each row of the gate table is, bitwise, the row of the general
+    # gate-output decomposer at the key's unit-radius inputs: a coherent
+    # key's four pole pairs at 1/lambda(phi), any other key's nine pairs at
+    # its zero sides' radius 0 and its other sides' radius 1
+    rows = []
+    real = sampler._gate_terms
+    monkeypatch.setattr(sampler, "_gate_terms",
+                        lambda *args: rows.append(real(*args)) or rows[-1])
+    ledger = radius_ledger(spec)
+    gates = [(payload, row) for (kind, payload), row in zip(spec.timeline(), ledger.trace)
+             if kind == "gate"]
+    table = sampler._tabulate(gates)
+    terms = decompose.GateTerms(*(np.concatenate(field) for field in zip(*rows)))
+    assert len(terms.count) == len(table.total)
+    keys = {}  # key -> (phi, zero_a, zero_b)
+    for (gate, row), key in zip(gates, table.key):
+        keys.setdefault(key, (gate.phi, *(r <= ZERO_RADIUS for r in row.inputs)))
+    assert sorted(keys) == list(range(len(table.rows)))
+    # the walk reads pair (z_a, z_b) at index (3 z_a + z_b) mod 9
+    z_pairs = {(3 * z_a + z_b) % 9: (z_a, z_b) for z_a in (-1, 0, 1) for z_b in (-1, 0, 1)}
+    for key, (phi, *zero) in keys.items():
+        r_out = np.array([0.0 if z else 1.0 for z in zero])
+        coherent = not any(zero) and math.fmod(phi, 2 * math.pi) != 0.0
+        r_in = r_out / lambda_phi(phi) if not any(zero) else r_out
+        pair = np.flatnonzero(table.rows[key] >= 0)
+        assert len(pair) == (4 if coherent else 9), key
+        z, ones = np.array([z_pairs[i] for i in pair]), np.ones(len(pair))
+        ref = decompose_gate_outputs(np.column_stack([r_in[0] * ones, 0 * ones, z[:, 0]]),
+                                     np.column_stack([r_in[1] * ones, 0 * ones, z[:, 1]]),
+                                     phi * ones, r_out[0] * ones, r_out[1] * ones)
+        for j, r in enumerate(table.rows[key][pair]):
+            want, n = terms_row(ref, j), ref.count[j]
+            assert np.array_equal(terms.weights[r], ref.weights[j]), (key, j)
+            assert terms.count[r] == n, (key, j)
+            for got, pts in zip(terms_row(terms, r)[1:], want[1:]):
+                assert np.array_equal(got, pts), (key, j)
+            # the table's own arrays hold those terms
+            cum = np.cumsum(ref.weights[j])
+            assert table.total[r] == cum[3]
+            assert np.array_equal(table.thresholds[r],
+                                  np.where(np.arange(3) < n - 1, cum[:3], np.inf))
+            for side, pts in enumerate(want[1:]):
+                assert np.array_equal(table.ph[side][4 * r:4 * r + n],
+                                      pts[:, 0] + 1j * pts[:, 1]), (key, j)
+                assert np.array_equal(table.z[side][4 * r:4 * r + n], pts[:, 2]), (key, j)
+
+
+def test_residual_guard_catches_a_short_lambda(monkeypatch):
+    # a coherent key tabulated from 1/(0.99 lambda(phi)), outside lemma 1's
+    # boundary: the closed form cannot reach its target, and its residual
+    # guard refuses the table
+    monkeypatch.setattr(sampler, "lambda_phi", lambda phi: 0.99 * lambda_phi(phi))
+    spec = ExperimentSpec.from_json(bench_workloads().chain_spec(91))
+    with pytest.raises(decompose.SolverFailure, match="closed-form residual"):
         run_branches(spec)
 
 
