@@ -7,8 +7,8 @@ header (version and the flags that shape the output, such as seed, sample
 count, discretization and tolerances) and output is deterministic for fixed
 flags, so files are byte-identical across reruns.
 
-Exit codes: 0 ok, 2 infeasible spec, 3 solver failure (including a negative
-branch probability), 4 bad input.
+Exit codes: 0 ok, 2 infeasible spec (`InfeasibleRequest`), 3 solver failure
+(`SolverFailure` and its subclasses), 4 bad input (`ValueError`, `OSError`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .decompose import EXACT_TOL, InfeasibleRequest, SolverFailure
+from .decompose import EXACT_TOL, SolverFailure
 from .experiment import ExperimentSpec
 from .growth import (
     PowerLawSpec,
@@ -41,9 +41,8 @@ from .matter import (
     steer_max,
 )
 from .oracle import exact_distribution
-from .sampler import NegativeBranchProbability, empirical_tv, run_branches
+from .sampler import InfeasibleRequest, empirical_tv, run_branches
 from .statespace import (
-    NoUpperBracket,
     bspace_search_rows,
     cylinder_max_input_radius,
     max_input_radius_bspace,
@@ -208,7 +207,7 @@ def cmd_verify(args) -> int:
     spec = _apply_sampler_flags(_load_spec(args.spec), args)
     run = run_branches(spec)
     exact = exact_distribution(spec)
-    tv = empirical_tv(run.outcomes, exact.probs)
+    tv = empirical_tv(run.counts, exact.probs)
     _emit(args.output, _json_doc(
         {"header": _header(seed=spec.sampler.seed,
                            samples=spec.sampler.num_samples)},
@@ -429,7 +428,7 @@ def main(argv=None) -> int:
     except InfeasibleRequest as e:
         sys.stderr.write(f"infeasible: {e}\n")
         return EXIT_INFEASIBLE
-    except (SolverFailure, NoUpperBracket, NegativeBranchProbability) as e:
+    except SolverFailure as e:
         sys.stderr.write(f"solver failure: {e}\n")
         return EXIT_SOLVER
     except (OSError, ValueError) as e:

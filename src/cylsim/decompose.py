@@ -98,16 +98,8 @@ _BOUND_GRID = 4096
 
 
 class SolverFailure(RuntimeError):
-    """The LP backend failed (status other than optimal) or a closed-form
-    residual missed its guard; distinct from an infeasible decomposition."""
-
-
-class InfeasibleRequest(ValueError):
-    """The radius ledger rejects the experiment: a measured radius above 1."""
-
-
-class NonExtremalInput(ValueError):
-    """The closed form needs extremal inputs (z = +-1) on coherent gates."""
+    """A program fault, never the spec's (exit 3): an LP backend failure, a
+    closed-form residual above its guard, or a subclass's own check."""
 
 
 class Decomposition(NamedTuple):

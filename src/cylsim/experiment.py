@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +31,12 @@ LEDGER_SLACK = 1e-9
 def _integer(value, what: str) -> int:
     """`value` as an int.  Bools and non-integral numbers (0.5, but also
     1.0) are rejected rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    return int(value)
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)

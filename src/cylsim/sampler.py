@@ -50,12 +50,16 @@ from .experiment import ExperimentSpec, radius_ledger, resolve_measure_angle
 from .growth import fold_phase, lambda_phi
 
 
-class NegativeBranchProbability(RuntimeError):
+class InfeasibleRequest(Exception):
+    """The radius ledger rejects the experiment: a measured radius above 1."""
+
+
+class NegativeBranchProbability(decompose.SolverFailure):
     """A branch produced an outcome probability below -1e-12.  This signals a
     ledger or decomposer bug and always aborts; it is never clamped away."""
 
 
-class AlphabetMismatch(ValueError):
+class AlphabetMismatch(decompose.SolverFailure):
     """Sampled outcomes and the exact distribution disagree on the alphabet."""
 
 
@@ -195,12 +199,13 @@ def run_branches(spec: ExperimentSpec) -> SampleRun:
     """Sample the experiment's outcome strings (schedule order, '+'/'-').
 
     Requires a simulable ledger; raises InfeasibleRequest naming the ledger
-    step otherwise.
+    step and the node and radius it measures otherwise.
     """
     ledger = radius_ledger(spec)
     if not ledger.simulable:
-        raise decompose.InfeasibleRequest(
-            f"experiment infeasible at ledger step {ledger.infeasible_step}")
+        (node, r), = ledger.trace[ledger.infeasible_step].radii.items()
+        raise InfeasibleRequest(f"experiment infeasible at ledger step "
+                                f"{ledger.infeasible_step}: node {node} at radius {r:.6g} > 1")
     n, seed = spec.sampler.num_samples, spec.sampler.seed
 
     # one generator, reset to each step's counter: Philox(key=seed,
@@ -237,8 +242,10 @@ def run_branches(spec: ExperimentSpec) -> SampleRun:
             a, b = payload.edge
             rows = table.rows[next(keys)][3 * z[a] + z[b]]
             if rows.min() < 0:
-                raise decompose.NonExtremalInput(
-                    "the closed form needs inputs with z = +-1")
+                j = rows.argmin()  # the first sample whose z pair is unseen
+                raise decompose.SolverFailure(
+                    f"gate {payload.edge} at timeline step {row.step} reads z pair "
+                    f"({z[a][j]}, {z[b][j]}), which its table lacks")
             x = u * table.total[rows]
             t = table.thresholds[rows]
             term = 4 * rows + (t[:, 0] <= x).view(np.int8) + (t[:, 1] <= x) + (t[:, 2] <= x)
@@ -270,17 +277,13 @@ def run_branches(spec: ExperimentSpec) -> SampleRun:
     return run
 
 
-def empirical_tv(samples, exact: dict[str, float]) -> float:
-    """Total variation distance between the empirical distribution of
-    `samples` and an exact distribution over the same outcome alphabet."""
-    counts: dict[str, int] = {}
-    n = 0
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-        n += 1
+def empirical_tv(counts: dict[str, int], exact: dict[str, float]) -> float:
+    """Total variation distance between the empirical distribution of the
+    outcome `counts` and an exact distribution over the same alphabet."""
+    n = sum(counts.values())
     if n == 0:
         raise ValueError("no samples")
-    unknown = set(counts) - set(exact)
+    unknown = counts.keys() - exact.keys()
     if unknown:
         raise AlphabetMismatch(f"sampled outcomes not in the exact alphabet: "
                                f"{sorted(unknown)[:5]}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochVector, apply_gate_paulis, radius
-from .decompose import EXACT_TOL, decompose_over_circles, solve_lp
+from .decompose import EXACT_TOL, SolverFailure, decompose_over_circles, solve_lp
 from .growth import lambda_phi
 
 _PROFILE_TOL = 1e-12
@@ -38,7 +38,7 @@ _ROW_RADIUS_N = 24
 _ROW_RADIUS_TOL = 1e-3
 
 
-class NoUpperBracket(RuntimeError):
+class NoUpperBracket(SolverFailure):
     """No feasible radius found below the bracket cap."""
 
 

@@ -22,8 +22,6 @@ from cylsim.decompose import (
     EXACT_TOL,
     Decomposition,
     GateTerms,
-    InfeasibleRequest,
-    NonExtremalInput,
     SolverFailure,
     closed_forms,
     reconstruct,
@@ -31,9 +29,15 @@ from cylsim.decompose import (
 )
 from cylsim.growth import lemma1_feasible
 from cylsim.oracle import MAX_QUBITS, TooManyQubits
+from cylsim.sampler import InfeasibleRequest
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+class NonExtremalInput(ValueError):
+    """`decompose_gate_outputs` needs extremal inputs (z = +-1) on coherent
+    rows."""
 
 
 def _load_file(name, path):

@@ -181,7 +181,7 @@ def test_criterion_4_sampling_vs_oracle():
         assert radius_ledger(spec).simulable
         run = run_branches(spec)
         exact = exact_distribution(spec)
-        tv = empirical_tv(run.outcomes, exact.probs)
+        tv = empirical_tv(run.counts, exact.probs)
         _SAMPLER_RUNS[name] = run
         assert tv <= 0.02, f"{name}: TV {tv:.4f} exceeds 0.02"
         details.append(f"{name}: TV={tv:.4f}")
@@ -228,7 +228,7 @@ def test_near_cap_grids_sampling_vs_oracle():
         assert sum(exact.probs.values()) + exact.pruned_mass == pytest.approx(1.0, abs=1e-12)
         n, k = spec.sampler.num_samples, len(exact.probs)
         bound = 0.5 * math.sqrt((k - 1) / n) + math.sqrt(math.log(1e6) / (2 * n))
-        tv = empirical_tv(run.outcomes, exact.probs)
+        tv = empirical_tv(run.counts, exact.probs)
         assert tv <= bound, f"{rows}x{cols}: TV {tv:.4f} exceeds {bound:.4f}"
         details.append(f"{rows}x{cols}: TV={tv:.4f} (bound {bound:.4f}, K={k})")
     print("[PASS] near-cap grids: " + "; ".join(details))

@@ -127,7 +127,8 @@ def test_simulate_infeasible_exit_code(capsys, tmp_path):
     path.write_text(json.dumps(spec))
     code, _, err = run_cli(["simulate", "--spec", str(path)], capsys)
     assert code == 2
-    assert err == "infeasible: experiment infeasible at ledger step 1\n"
+    assert err == ("infeasible: experiment infeasible at ledger step 1: "
+                   "node 0 at radius 1.47644 > 1\n")
 
 
 def test_bad_input_exit_codes(capsys, tmp_path):
@@ -590,6 +591,50 @@ def test_short_lambda_in_the_table_exit_code(capsys, tmp_path, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("solver failure: closed-form residual")
 
 
+def test_unseen_z_pair_in_the_walk_exit_code(capsys, tmp_path, monkeypatch):
+    # a gate step that reads a z pair its table lacks is a program fault:
+    # exit 3, one line naming the gate, its timeline step and the z pair
+    from cylsim import sampler
+
+    real = sampler._tabulate
+
+    def unseen(gates):
+        table = real(gates)
+        table.rows[:] = -1
+        return table
+
+    monkeypatch.setattr(sampler, "_tabulate", unseen)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_pair_spec()))
+    code, out, err = run_cli(["simulate", "--spec", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == ("solver failure: gate (0, 1) at timeline step 0 reads z pair (1, 1), "
+                   "which its table lacks\n")
+
+
+def test_sampled_outcome_outside_the_oracle_exit_code(capsys, tmp_path, monkeypatch):
+    # the sampler is exact, so an outcome the oracle lacks is a program
+    # fault: exit 3, one line
+    from cylsim import cli
+
+    real = cli.exact_distribution
+
+    def short(spec):
+        exact = real(spec)
+        exact.probs.pop(next(iter(exact.probs)))
+        return exact
+
+    monkeypatch.setattr(cli, "exact_distribution", short)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_pair_spec()))
+    code, out, err = run_cli(["verify", "--spec", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(
+        "solver failure: sampled outcomes not in the exact alphabet")
+
+
 def test_feasible_pair_at_coarse_discretization(capsys, tmp_path):
     # used to die in the sampler's LP with residual 7.33e-8 against a
     # frame-adjusted 7.07e-8; the discretization no longer affects sampling
@@ -678,7 +723,8 @@ def _fuzzed_specs(draw):
 @example(doc=_pair_spec(theta=0.8), command="verify")  # infeasible: exit 2
 def test_fuzzed_specs_exit_cleanly(tmp_path_factory, doc, command):
     """Any spec document, valid or broken, runs (0), is infeasible (2) or is
-    bad input (4); it never raises and never ends in a solver failure (3)."""
+    bad input (4), with the one stderr line of its exit code; it never raises
+    and never ends in a solver failure (3)."""
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -687,3 +733,4 @@ def test_fuzzed_specs_exit_cleanly(tmp_path_factory, doc, command):
     assert code in (0, 2, 4), (code, err.getvalue(), doc)
     if code:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith({2: "infeasible:", 4: "bad input:"}[code])

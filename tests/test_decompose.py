@@ -11,8 +11,6 @@ from cylsim import decompose, statespace
 from cylsim.bloch import BlochVector, apply_gate_paulis, radius
 from cylsim.decompose import (
     Decomposition,
-    InfeasibleRequest,
-    NonExtremalInput,
     closed_forms,
     hull_membership,
     reconstruct,
@@ -20,8 +18,10 @@ from cylsim.decompose import (
     solve_lp,
 )
 from cylsim.growth import LAMBDA_CZ, lambda_phi, lemma1_feasible, lemma1_lhs
+from cylsim.sampler import InfeasibleRequest
 from cylsim.statespace import cylinder, min_output_radius
 from reference import (
+    NonExtremalInput,
     apply_gate_pauli,
     closed_form_decomposition,
     coupling_operator,

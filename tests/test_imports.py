@@ -25,9 +25,16 @@ it is reachable from an entry point, a cylsim module's top-level statements
 functions, methods and classes that those reach.  Code that only tests run
 lives in `tests/reference.py`; the few paper results that only tests check
 are the roots listed in `TEST_ONLY`.
+
+Each exit code of `cylsim.cli.main` is one base class: `InfeasibleRequest`
+(2), `SolverFailure` (3) and `ValueError` (4).  Every exception class of
+cylsim derives from exactly one of them and is raised in the module that
+defines it, so a failure's exit code is decided where it is raised.
 """
 
 import ast
+import builtins
+import importlib
 import json
 import os
 import subprocess
@@ -439,3 +446,91 @@ def test_unused_name_guard_catches_each_form():
     assert unused_names({"core": "def _g():\n    pass\nclass _P:\n    def error(self):\n"
                                  "        pass\nclass C:\n    def __len__(self):\n"
                                  "        return 0\n"}, []) == ["core:C"]
+
+
+_EXIT_BASES = {"InfeasibleRequest", "SolverFailure", "ValueError"}
+
+
+def exception_classes(modules: dict[str, str]) -> dict[str, str]:
+    """`module:Class` -> its faults ('' if none) for each exception class
+    that `modules` (source by module name) define.  A class must derive from
+    exactly one of _EXIT_BASES, counting itself, and be raised in its own
+    module.  A base is resolved by its last name: a class that `modules`
+    define, else a builtin."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    bases = {node.name: [ast.unparse(base).split(".")[-1] for base in node.bases]
+             for tree in trees.values() for node in tree.body
+             if isinstance(node, ast.ClassDef)}
+
+    def ancestors(name: str) -> set[str]:
+        if name in bases:
+            return {name}.union(*map(ancestors, bases[name]))
+        kind = getattr(builtins, name, None)
+        return {k.__name__ for k in kind.__mro__} if isinstance(kind, type) else set()
+
+    found = {}
+    for module, tree in trees.items():
+        raised = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).split(".")[-1])
+        for node in tree.body:
+            lineage = ancestors(node.name) if isinstance(node, ast.ClassDef) else set()
+            if "BaseException" not in lineage:
+                continue
+            exits = sorted(lineage & _EXIT_BASES)
+            faults = [] if len(exits) == 1 else [f"derives from {exits or 'no exit base'}"]
+            if node.name not in raised:
+                faults.append(f"never raised in {module}")
+            found[f"{module}:{node.name}"] = "; ".join(faults)
+    return found
+
+
+def test_each_exception_has_one_exit_code(monkeypatch, capsys):
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = exception_classes(modules)
+    assert {key: faults for key, faults in found.items() if faults} == {}
+    kinds = {f"{stem}:{kind.__name__}": kind for stem in modules if stem != "__init__"
+             for kind in vars(importlib.import_module(f"cylsim.{stem}")).values()
+             if isinstance(kind, type) and issubclass(kind, BaseException)
+             and kind.__module__ == f"cylsim.{stem}"}
+    assert kinds.keys() == found.keys()  # the source walk sees every class
+    from cylsim import cli, decompose, sampler
+
+    exit_codes = {sampler.InfeasibleRequest: 2, decompose.SolverFailure: 3, ValueError: 4}
+    assert {base.__name__ for base in exit_codes} == _EXIT_BASES
+    for key, kind in sorted(kinds.items()):
+        def fail(_args, kind=kind):
+            raise kind("planted")
+
+        monkeypatch.setattr(cli, "cmd_exact", fail)
+        code = cli.main(["exact", "--spec", "spec.json"])
+        out, err = capsys.readouterr()
+        [expected] = [c for base, c in exit_codes.items() if issubclass(kind, base)]
+        assert (code, out, err.count("\n"), err.endswith(": planted\n")) \
+            == (expected, "", 1, True), key
+
+
+def test_exception_guard_catches_each_form():
+    base = "class SolverFailure(RuntimeError):\n    pass\nraise SolverFailure('x')\n"
+    assert exception_classes({"decompose": base}) == {"decompose:SolverFailure": ""}
+    # a subclass raised in its own module, by call or bare, on any exit base
+    assert exception_classes({
+        "decompose": base,
+        "sampler": "from . import decompose\nclass Short(decompose.SolverFailure):\n"
+                   "    pass\nclass Bad(ValueError):\n    pass\nraise Short\n"
+                   "raise Bad('y')\n"}) \
+        == {"decompose:SolverFailure": "", "sampler:Short": "", "sampler:Bad": ""}
+    # a class on no exit base, or on two, or raised only in another module;
+    # classes that are no exceptions are exempt
+    assert exception_classes({
+        "decompose": base,
+        "core": "class Oops(RuntimeError):\n    pass\nclass Both(SolverFailure, ValueError):\n"
+                "    pass\nclass Lost(ValueError):\n    pass\nclass Spec:\n    pass\n"
+                "raise Oops()\nraise Both()\n",
+        "cli": "from .core import Lost\nraise Lost('z')\n"}) \
+        == {"decompose:SolverFailure": "",
+            "core:Oops": "derives from no exit base",
+            "core:Both": "derives from ['SolverFailure', 'ValueError']",
+            "core:Lost": "never raised in core"}

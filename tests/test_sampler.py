@@ -1,11 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cylsim import decompose, sampler
 from cylsim.bloch import ZERO_RADIUS, BlochVector, MeasurementSpec, measure_prob, norm_angle
-from cylsim.decompose import InfeasibleRequest
 from cylsim.experiment import (
     AdaptiveRule,
     ExperimentSpec,
@@ -18,7 +18,7 @@ from cylsim.experiment import (
 )
 from cylsim.growth import lambda_phi
 from cylsim.oracle import exact_distribution
-from cylsim.sampler import AlphabetMismatch, empirical_tv, run_branches
+from cylsim.sampler import AlphabetMismatch, InfeasibleRequest, empirical_tv, run_branches
 from reference import (
     bench_sampler,
     bench_workloads,
@@ -58,7 +58,7 @@ def test_two_qubit_tv_and_invariants():
     run = run_branches(spec)
     assert run.max_radius_slack <= 1e-9
     exact = exact_distribution(spec)
-    assert empirical_tv(run.outcomes, exact.probs) < 0.03
+    assert empirical_tv(run.counts, exact.probs) < 0.03
 
 
 def test_determinism_and_counter_based_streams():
@@ -243,7 +243,7 @@ def test_fast_path_after_measurement():
     assert run.fast_path_hits == 2000  # one per sample
     assert run.canonical_decompositions == 0
     exact = exact_distribution(spec)
-    assert empirical_tv(run.outcomes, exact.probs) < 0.05
+    assert empirical_tv(run.counts, exact.probs) < 0.05
 
 
 def test_decompositions_tabulated_once_per_key_and_z_pair(monkeypatch):
@@ -427,7 +427,7 @@ def test_zero_radius_input_matches_oracle(theta0):
     run = run_branches(spec)
     assert run.max_radius_slack <= 1e-9
     exact = exact_distribution(spec)
-    assert empirical_tv(run.outcomes, exact.probs) < 0.02
+    assert empirical_tv(run.counts, exact.probs) < 0.02
 
 
 def test_sampler_solves_no_lp(monkeypatch):
@@ -465,7 +465,7 @@ def test_adaptive_rule_sampling():
     )
     run = run_branches(spec)
     exact = exact_distribution(spec)
-    assert empirical_tv(run.outcomes, exact.probs) < 0.02
+    assert empirical_tv(run.counts, exact.probs) < 0.02
 
 
 def test_infeasible_spec_refused():
@@ -483,15 +483,15 @@ def test_infeasible_spec_refused():
 
 
 def test_empirical_tv_examples():
-    assert empirical_tv(["+", "-"], {"+": 0.5, "-": 0.5}) == 0.0
-    assert empirical_tv(["+", "+"], {"+": 0.0, "-": 1.0}) == 1.0
+    assert empirical_tv(Counter(["+", "-"]), {"+": 0.5, "-": 0.5}) == 0.0
+    assert empirical_tv(Counter(["+", "+"]), {"+": 0.0, "-": 1.0}) == 1.0
     rng = np.random.default_rng(31)
     coin = ["+" if rng.random() < 0.5 else "-" for _ in range(100000)]
-    assert empirical_tv(coin, {"+": 0.5, "-": 0.5}) < 0.01
+    assert empirical_tv(Counter(coin), {"+": 0.5, "-": 0.5}) < 0.01
     with pytest.raises(AlphabetMismatch):
-        empirical_tv(["x"], {"+": 1.0})
+        empirical_tv(Counter(["x"]), {"+": 1.0})
     with pytest.raises(ValueError):
-        empirical_tv([], {"+": 1.0})
+        empirical_tv(Counter(), {"+": 1.0})
 
 
 def test_thermal_shrink_inputs():
@@ -507,4 +507,4 @@ def test_thermal_shrink_inputs():
     )
     run = run_branches(spec)
     exact = exact_distribution(spec)
-    assert empirical_tv(run.outcomes, exact.probs) < 0.02
+    assert empirical_tv(run.counts, exact.probs) < 0.02
