@@ -101,8 +101,9 @@ def _criterion8_loops(instances: int, twirl: bool):
         raw = [BlochVector(r * math.cos(a), r * math.sin(a), z)
                for z, r in circles for a in azs8]
         reps_a = [BlochVector(r, 0.0, z) for z, r in circles]
-        out += [r_star_point_set(raw, cyl_pts, math.pi, tol=tol, lp_tol=1e-6,
-                                 reps_a=reps_a, reps_b=reps_b),
+        # by keyword, so that `--src` may name a checkout with another order
+        out += [r_star_point_set(raw, cyl_pts, reps_a=reps_a, reps_b=reps_b,
+                                 phi=math.pi, tol=tol),
                 r_star(symmetrize(raw), cylinder(0.25), math.pi, n=n, tol=tol)]
     return out
 

@@ -21,7 +21,7 @@ from .growth import (
     telescoping_family,
     theta_max,
 )
-from .decompose import Decomposition, hull_membership
+from .decompose import Decomposition
 from .experiment import ExperimentSpec, NodeInput, radius_ledger
 from .sampler import empirical_tv, run_branches
 from .oracle import exact_distribution

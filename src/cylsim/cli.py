@@ -4,7 +4,7 @@ Subcommands cover the whole toolkit: growth curves, phase diagrams,
 long-range criteria, experiment sampling, oracle verification, matter
 thresholds, and the state-space search.  Every run emits a reproducibility
 header (version and the flags that shape the output, such as seed, sample
-count, discretization and tolerances) and output is deterministic for fixed
+count, discretization and search width) and output is deterministic for fixed
 flags, so files are byte-identical across reruns.
 
 Exit codes: 0 ok, 2 infeasible spec (`InfeasibleRequest`), 3 solver failure
@@ -205,8 +205,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _apply_sampler_flags(_load_spec(args.spec), args)
-    run = run_branches(spec)
+    # the oracle first: a spec above its dense limit fails before sampling
     exact = exact_distribution(spec)
+    run = run_branches(spec)
     tv = empirical_tv(run.counts, exact.probs)
     _emit(args.output, _json_doc(
         {"header": _header(seed=spec.sampler.seed,
@@ -236,18 +237,17 @@ def cmd_thresholds(args) -> int:
 
 def cmd_search_space(args) -> int:
     header = _header(delta=args.delta, phi=args.phi, N=args.discretization,
-                     tol=args.tolerance, search_tol=args.search_tol)
+                     search_tol=args.search_tol)
     baseline = cylinder_max_input_radius(args.delta, args.phi)
     if args.format == "csv":
         best, rows = bspace_search_rows(args.delta, args.phi,
                                         n=args.discretization,
-                                        tol=args.search_tol,
-                                        lp_tol=args.tolerance)
+                                        tol=args.search_tol)
         _emit(args.output, _csv(header + f" | best={best!r}",
                                 ["r", "feasible", "R1"], rows))
         return EXIT_OK
     best = max_input_radius_bspace(args.delta, args.phi, n=args.discretization,
-                                   tol=args.search_tol, lp_tol=args.tolerance)
+                                   tol=args.search_tol)
     _emit(args.output, _json_doc(
         {"header": header},
         {
@@ -368,7 +368,6 @@ def build_parser() -> _Parser:
     ss.add_argument("--delta", type=int, required=True)
     ss.add_argument("--phi", type=_finite, default=math.pi)
     ss.add_argument("--discretization", type=int, default=40)
-    ss.add_argument("--tolerance", type=_finite, default=1e-7)
     ss.add_argument("--search-tol", type=_finite, default=1e-4)
     ss.add_argument("--format", choices=("json", "csv"), default="json")
     add_output(ss)

@@ -26,7 +26,8 @@ imported.  Candidate points are always true extremal
 points of the target spaces, so the discretized hull under-approximates the
 exact one and feasibility claims are conservative.  An adaptive azimuth
 refinement (repeated halving around the active support) recovers boundary
-cases that a uniform grid alone misses.  The radius searches built on these
+cases that a uniform grid alone misses.  An LP residual at or below `LP_TOL`
+counts as a fit, for every verdict.  The radius searches built on these
 decompositions live in `statespace`.
 """
 
@@ -74,6 +75,10 @@ _h = _load_highs()
 _WEIGHT_EPS = 1e-12
 # Closed form: eigenvalue clamp and largest accepted coefficient residual.
 EXACT_TOL = 1e-12
+# The largest LP residual that counts as a fit: every LP verdict in cylsim
+# (`decompose_over_circles`' stops and the radius searches of `statespace`)
+# reads it.
+LP_TOL = 1e-7
 # LP column generation: initial columns, columns added per round, and the
 # reduced cost below which a column still counts as improving.
 _CG_START = 256
@@ -415,25 +420,22 @@ def residual_lower_bound(target_m, duals, circles_a, circles_b) -> float:
     return float((-m.reshape(16) @ Y.reshape(16) - mu * m[0, 0]) / scale)
 
 
-def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
-                           refine_rounds=6):
+def decompose_over_circles(target_m, circles_a, circles_b, n, refine_rounds=2):
     """Decompose a Pauli coefficient target over products of discretized
     extremal circles.  Returns (residual, Decomposition): the last LP's own
     residual, and its support with the weights normalised to sum 1, whose
     reconstruction can miss the target by more than that residual.
-    Azimuths are refined around the active support while the residual
-    exceeds tol, which must be finite and > 0; n >= 1 azimuths per circle.
+    Azimuths are refined around the active support, at most refine_rounds
+    times, while the residual exceeds LP_TOL; n >= 1 azimuths per circle.
 
     Refinement stops early once an LP's duals prove a miss: when
-    `residual_lower_bound` > tol, no combination of points on the kept
-    circles reaches tol, and later rounds only add azimuths on those
-    circles, so the verdict residual <= tol is the one the remaining rounds
-    would give; the residual and terms returned are the current round's.
-    Every LP that runs is the one it would be without the stop."""
+    `residual_lower_bound` > LP_TOL, no combination of points on the kept
+    circles reaches LP_TOL, and later rounds only add azimuths on those
+    circles, so the verdict residual <= LP_TOL is the one the remaining
+    rounds would give; the residual and terms returned are the current
+    round's.  Every LP that runs is the one it would be without the stop."""
     if n < 1:
         raise ValueError(f"need at least one azimuth per circle, not {n!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and > 0, not {tol!r}")
     target = np.asarray(target_m, dtype=float).reshape(4, 4)
     base = 2.0 * math.pi * np.arange(n) / n
     az_a = [base.copy() for _ in circles_a]
@@ -445,8 +447,8 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
         pts_b, own_b, azs_b = _candidates(circles_b, az_b)
         residual, w, duals = solve_lp(pts_a, pts_b, target.reshape(16))
         support = np.nonzero(w > _WEIGHT_EPS)[0]
-        if (residual <= tol or round_idx == refine_rounds
-                or residual_lower_bound(target, duals, circles_a, circles_b) > tol):
+        if (residual <= LP_TOL or round_idx == refine_rounds
+                or residual_lower_bound(target, duals, circles_a, circles_b) > LP_TOL):
             return residual, Decomposition(w[support] / w[support].sum(),
                                            pts_a[support // len(pts_b)],
                                            pts_b[support % len(pts_b)])
@@ -461,15 +463,3 @@ def decompose_over_circles(target_m, circles_a, circles_b, n, tol,
                 az[k] = np.unique(np.concatenate(
                     [base, sel, sel - half_step, sel + half_step]))
         half_step /= 2.0
-
-
-def hull_membership(target: np.ndarray, r_a: float, r_b: float,
-                    n: int = 40, tol: float = 1e-7, refine_rounds: int = 6):
-    """LP convex-hull membership of a normalised two-particle operator, given
-    as its 4x4 Pauli coefficients, in the separable hull over Cyl(r_a) x
-    Cyl(r_b) extrema discretized at N azimuths per circle.  Returns
-    (feasible, Decomposition, residual)."""
-    residual, d = decompose_over_circles(
-        target, [(-1.0, r_a), (1.0, r_a)], [(-1.0, r_b), (1.0, r_b)], n, tol,
-        refine_rounds)
-    return residual <= tol, d, residual

@@ -13,7 +13,8 @@ bisect on a radius.  Each builds its gate-output targets from the extremal
 input pairs (`_gate_targets`) and asks one fit test (`_fits`): `r_star`
 phases the target, the others fit it over cylinder circles at the probed
 radius.  A product target is decided factor by factor; any other asks the
-LP in `decompose`.
+LP in `decompose`.  Both read the one fit threshold, `decompose.LP_TOL`, so
+the searches take only the azimuth count `n` and the bisection width `tol`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochVector, apply_gate_paulis, radius
-from .decompose import EXACT_TOL, SolverFailure, decompose_over_circles, solve_lp
+from .decompose import EXACT_TOL, LP_TOL, SolverFailure, decompose_over_circles, solve_lp
 from .growth import lambda_phi
 
 _PROFILE_TOL = 1e-12
@@ -202,25 +203,22 @@ def _gate_targets(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
 
 
 def _fits(target, space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
-          n: int, lp_tol: float) -> bool:
+          n: int) -> bool:
     """Whether the target lies in the hull of the products of the two spaces'
-    breakpoint circles to within lp_tol.
+    breakpoint circles to within LP_TOL.
 
     A product target, m = outer(m[:, 0], m[0, :]) to EXACT_TOL (a gate
     output with a zero-radius input, such as a pole), lies there exactly when
     each factor lies in its own space (the hull's marginals are the spaces),
-    so each factor is tested against its space with slack lp_tol (finite
-    and > 0) and no LP runs.  Any other target asks the LP of
-    `decompose_over_circles`, whose discretized hull under-approximates the
-    exact one."""
-    if not (math.isfinite(lp_tol) and lp_tol > 0.0):
-        raise ValueError(f"tolerance must be finite and > 0, not {lp_tol!r}")
+    so each factor is tested against its space with slack LP_TOL and no LP
+    runs.  Any other target asks the LP of `decompose_over_circles`, whose
+    discretized hull under-approximates the exact one."""
     m = np.asarray(target)
     if np.max(np.abs(m - np.outer(m[:, 0], m[0, :]))) <= EXACT_TOL:
-        return (_within(space_a, BlochVector(*m[1:, 0]), lp_tol)
-                and _within(space_b, BlochVector(*m[0, 1:]), lp_tol))
-    return decompose_over_circles(target, space_a.profile, space_b.profile, n,
-                                  lp_tol, refine_rounds=2)[0] <= lp_tol
+        return (_within(space_a, BlochVector(*m[1:, 0]), LP_TOL)
+                and _within(space_b, BlochVector(*m[0, 1:]), LP_TOL))
+    residual, _d = decompose_over_circles(target, space_a.profile, space_b.profile, n)
+    return residual <= LP_TOL
 
 
 def _phased_target(m: np.ndarray, inv_r: float) -> np.ndarray:
@@ -233,8 +231,7 @@ def _phased_target(m: np.ndarray, inv_r: float) -> np.ndarray:
 
 
 def r_star(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
-           phi: float, n: int = 40, tol: float = 1e-3,
-           lp_tol: float = 1e-7) -> float:
+           phi: float, n: int = 40, tol: float = 1e-3) -> float:
     """Minimal phasing growth R with
     T_{1/R} (x) T_{1/R} (V_phi(S_A (x) S_B)) inside Conv(S_A (x) S_B).
 
@@ -244,7 +241,7 @@ def r_star(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
     targets = _gate_targets(space_a, space_b, phi)
 
     def feasible(r):
-        return all(_fits(_phased_target(t, 1.0 / r), space_a, space_b, n, lp_tol)
+        return all(_fits(_phased_target(t, 1.0 / r), space_a, space_b, n)
                    for t in targets)
 
     return bisect_min_radius(feasible, tol, hi_start=1.0)
@@ -252,68 +249,67 @@ def r_star(space_a: SymmetricStateSpace, space_b: SymmetricStateSpace,
 
 def min_output_radius(space_a: SymmetricStateSpace,
                       space_b: SymmetricStateSpace, phi: float,
-                      tol: float = 1e-3, n: int = 40,
-                      lp_tol: float = 1e-7) -> float:
+                      tol: float = 1e-3, n: int = 40) -> float:
     """Smallest cylinder radius R such that the gate output on every pair of
     extremal circles of the two spaces is separable over Cyl(R) x Cyl(R)."""
     targets = _gate_targets(space_a, space_b, phi)
 
     def feasible(r):
         out = cylinder(r)
-        return all(_fits(t, out, out, n, lp_tol) for t in targets)
+        return all(_fits(t, out, out, n) for t in targets)
 
     hi_start = max(space_a.radius, space_b.radius, 1e-6)
     return bisect_min_radius(feasible, tol, hi_start=hi_start)
 
 
-def r_star_point_set(points_a, points_b, phi: float, tol: float = 1e-3,
-                     lp_tol: float = 1e-7, reps_a=None, reps_b=None) -> float:
-    """R* over raw finite point sets, lists of BlochVector: inputs and
-    decomposition candidates are exactly the given points (their convex hull
-    is the state space).
-
-    When the point sets are invariant under a discrete Z-rotation group,
-    `reps_a`/`reps_b` may list one input representative per orbit; rotated
-    inputs then decompose by rotating a representative's decomposition."""
+def r_star_point_set(points_a, points_b, reps_a, reps_b, phi: float,
+                     tol: float = 1e-3) -> float:
+    """R* over raw finite point sets, lists of BlochVector: decomposition
+    candidates are exactly the given points (their convex hull is the state
+    space).  The point sets are invariant under a discrete Z-rotation group,
+    and `reps_a`/`reps_b` list one input representative per orbit; rotated
+    inputs decompose by rotating a representative's decomposition."""
     pts_a = np.array([p.as_array() for p in points_a])
     pts_b = np.array([p.as_array() for p in points_b])
-    ins_a = pts_a if reps_a is None else np.array([v.as_array() for v in reps_a])
-    ins_b = pts_b if reps_b is None else np.array([v.as_array() for v in reps_b])
+    ins_a = np.array([v.as_array() for v in reps_a])
+    ins_b = np.array([v.as_array() for v in reps_b])
     targets = list(apply_gate_paulis(np.full(len(ins_a) * len(ins_b), phi),
                                      np.repeat(ins_a, len(ins_b), axis=0),
                                      np.tile(ins_b, (len(ins_a), 1))))
 
     def feasible(r):
         return all(solve_lp(pts_a, pts_b, _phased_target(t, 1.0 / r).reshape(16))[0]
-                   <= lp_tol for t in targets)
+                   <= LP_TOL for t in targets)
 
     return bisect_min_radius(feasible, tol, hi_start=1.0)
 
 
-def _bspace_first_gate_feasible(r, r_target, phi, n, lp_tol):
+def _bspace_first_gate_feasible(r, r_target, phi, n):
     if r >= 1.0:
         return False
     space = b_space(r, math.sqrt(1.0 - r * r))
     out = cylinder(r_target)
-    return all(_fits(t, out, out, n, lp_tol) for t in _gate_targets(space, space, phi))
+    return all(_fits(t, out, out, n) for t in _gate_targets(space, space, phi))
 
 
 def max_input_radius_bspace(delta: int, phi: float, n: int = 40,
-                            tol: float = 1e-4, lp_tol: float = 1e-7,
-                            trail: list | None = None) -> float:
+                            tol: float = 1e-4, trail: list | None = None) -> float:
     """Largest input radius r for which the first-gate output on two
     B(r, sqrt(1-r^2)) extrema fits in cylinders small enough that the
     remaining delta-1 gates (each growing by lambda(phi)) stay within radius
-    1: the LP must place it inside Cyl(lambda^-(delta-1)).
+    1: the LP must place it inside Cyl(lambda^-(delta-1)).  The bisection
+    width tol must lie in (0, 1), the bracket [0, 1) of the search.
 
     When `trail` is a list, every probed radius is appended to it as
     (r, feasible)."""
     if delta < 2:
         raise ValueError("delta must be >= 2")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"search width must lie in (0, 1), not {tol!r}")
     r_target = lambda_phi(phi) ** (-(delta - 1))
 
     def feasible(r):
-        ok = _bspace_first_gate_feasible(r, r_target, phi, n, lp_tol)
+        ok = _bspace_first_gate_feasible(r, r_target, phi, n)
         if trail is not None:
             trail.append((r, ok))
         return ok
@@ -324,14 +320,12 @@ def max_input_radius_bspace(delta: int, phi: float, n: int = 40,
     return bisect_bracket(lambda r: not feasible(r), 0.0, 1.0 - tol, tol)[0]
 
 
-def bspace_search_rows(delta: int, phi: float, n: int = 40,
-                       tol: float = 1e-4, lp_tol: float = 1e-7):
+def bspace_search_rows(delta: int, phi: float, n: int = 40, tol: float = 1e-4):
     """CSV-facing B-space search: for every radius probed by the bisection,
     report (r, feasible, R1) with R1 the minimal output cylinder radius of
     the first gate on B(r, sqrt(1-r^2)) inputs."""
     trail: list = []
-    best = max_input_radius_bspace(delta, phi, n=n, tol=tol, lp_tol=lp_tol,
-                                   trail=trail)
+    best = max_input_radius_bspace(delta, phi, n=n, tol=tol, trail=trail)
     rows = []
     for r, ok in trail:
         if r >= 1.0:

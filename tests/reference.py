@@ -20,10 +20,12 @@ from cylsim.bloch import (
 )
 from cylsim.decompose import (
     EXACT_TOL,
+    LP_TOL,
     Decomposition,
     GateTerms,
     SolverFailure,
     closed_forms,
+    decompose_over_circles,
     reconstruct,
     support_first,
 )
@@ -288,6 +290,17 @@ def decompose_gate_output(v_a: BlochVector, v_b: BlochVector, phi: float,
     Cyl(r_out_a) x Cyl(r_out_b): one row of `decompose_gate_outputs`."""
     return terms_row(decompose_gate_outputs(v_a.as_array()[None], v_b.as_array()[None],
                                             [phi], [r_out_a], [r_out_b]), 0)
+
+
+def hull_membership(target: np.ndarray, r_a: float, r_b: float,
+                    n: int = 40, refine_rounds: int = 6):
+    """LP convex-hull membership of a normalised two-particle operator, given
+    as its 4x4 Pauli coefficients, in the separable hull over Cyl(r_a) x
+    Cyl(r_b) extrema discretized at N azimuths per circle.  Returns
+    (feasible, Decomposition, residual)."""
+    residual, d = decompose_over_circles(
+        target, [(-1.0, r_a), (1.0, r_a)], [(-1.0, r_b), (1.0, r_b)], n, refine_rounds)
+    return residual <= LP_TOL, d, residual
 
 
 # Smallest eigenvalue `DenseState.validate` accepts as rounding.

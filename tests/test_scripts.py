@@ -54,18 +54,20 @@ def test_bench_sampler_runs_on_a_tiny_config(tmp_path):
 def test_bench_lp_runs_on_a_tiny_config(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_lp.py"),
-                    "--label", "tiny", "--cases", "rstar-cylinder", "lemma7",
+                    "--label", "tiny", "--cases", "rstar-cylinder", "lemma7", "twirl",
                     "--instances", "1", "--repeats", "2", "--output", str(out)],
                    check=True, capture_output=True, timeout=120)
     tiny = json.loads(out.read_text())["tiny"]
-    assert set(tiny["cases"]) == {"rstar-cylinder", "lemma7"}
+    assert set(tiny["cases"]) == {"rstar-cylinder", "lemma7", "twirl"}
     for case in tiny["cases"].values():
         assert len(case["runs_s"]) == 2 and case["median_s"] > 0
         assert case["lp_solves"] > 0
         assert len(case["lp_digests"]) == case["lp_solves"]
-    # one r_star for the cylinder; hull, s and t for one Lemma-7 pair
+    # one r_star for the cylinder; hull, s and t for one Lemma-7 pair; one
+    # raw point set and its symmetrization
     assert len(tiny["cases"]["rstar-cylinder"]["radii"]) == 1
     assert len(tiny["cases"]["lemma7"]["radii"]) == 3
+    assert len(tiny["cases"]["twirl"]["radii"]) == 2
     assert {"numpy", "scipy", "python"} <= set(tiny["versions"])
     assert tiny["blas_threads"] == 1
 

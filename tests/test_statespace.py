@@ -174,16 +174,15 @@ def test_twirl_monotonicity_small():
                    for z in (-1.0, 1.0) for a in 2 * math.pi * np.arange(n) / n]
         reps_a = [BlochVector(r, 0.0, z) for z, r in circles]
         reps_b = [BlochVector(0.25, 0.0, -1.0), BlochVector(0.25, 0.0, 1.0)]
-        r_raw = r_star_point_set(raw, cyl_pts, math.pi, tol=tol, lp_tol=1e-6,
-                                 reps_a=reps_a, reps_b=reps_b)
+        r_raw = r_star_point_set(raw, cyl_pts, reps_a, reps_b, math.pi, tol=tol)
         r_sym = r_star(sym, cylinder(0.25), math.pi, n=n, tol=tol)
         assert r_sym <= r_raw + 2 * tol
 
 
-def _lp_fits(target, space_a, space_b, n=40, lp_tol=1e-7):
+def _lp_fits(target, space_a, space_b, n=40):
     """The LP verdict that `_fits` gave every target before the product rule."""
     return decompose.decompose_over_circles(target, space_a.profile, space_b.profile,
-                                            n, lp_tol, refine_rounds=2)[0] <= lp_tol
+                                            n, refine_rounds=2)[0] <= decompose.LP_TOL
 
 
 def test_product_targets_get_the_lp_verdict():
@@ -209,7 +208,7 @@ def test_product_targets_get_the_lp_verdict():
                     # the probed factor on side A, then on side B
                     for target, sides in ((np.outer(coeffs(a), coeffs(b)), (space, other)),
                                           (np.outer(coeffs(b), coeffs(a)), (other, space))):
-                        verdict = statespace._fits(target, *sides, 40, 1e-7)
+                        verdict = statespace._fits(target, *sides, 40)
                         assert verdict == inside == _lp_fits(target, *sides), (z, scale)
                         checked[inside] += 1
     assert min(checked.values()) >= 40
@@ -231,6 +230,6 @@ def test_pole_disc_targets_solve_no_lp(monkeypatch):
     assert 0.3 <= r <= 0.3 + 1e-3
     target = apply_gate_pauli(math.pi, BlochVector(0.0, 0.0, 1.0),
                               BlochVector(0.3, 0.0, 0.8))
-    assert statespace._fits(target, cylinder(0.3), cylinder(0.3), 40, 1e-7)
-    assert not statespace._fits(target, cylinder(0.29), cylinder(0.29), 40, 1e-7)
+    assert statespace._fits(target, cylinder(0.3), cylinder(0.3), 40)
+    assert not statespace._fits(target, cylinder(0.29), cylinder(0.29), 40)
     assert calls == []
